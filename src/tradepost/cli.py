@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
 
@@ -28,7 +27,7 @@ from .maxmin import (
     demo_not_strategyproof_ces,
 )
 from .solver import TOL_KKT, NonConvergence, solve_ces, solve_maxmin
-from .trading_post import Bid, BidMatrix, CurveFamily, PowerCurve, atp_allocate, best_response
+from .trading_post import BidMatrix, CurveFamily, PowerCurve, atp_allocate, best_response
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -39,35 +38,12 @@ DEFAULT_SEED = 1234567
 MIN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    instance: str | None = None
-    rho: Rho | None = None
-    curves: str | None = None
-    bids: str | None = None
-    allocation: str | None = None
-    seed: int = DEFAULT_SEED
-    tol_eq: float = TOL_EQ
-    tol_kkt: float = TOL_KKT
-    output: str | None = None
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.tol_eq < MIN_TOL or self.tol_kkt < MIN_TOL:
-            raise ValueError(f"tolerance overrides must be >= {MIN_TOL}")
-
-
-def _tolerances(cfg: RunConfig) -> dict:
-    return {"tol_eq": cfg.tol_eq, "tol_kkt": cfg.tol_kkt}
-
-
-def _emit(cfg: RunConfig, payload: dict) -> None:
+def _emit(args: argparse.Namespace, payload: dict) -> None:
     payload = dict(payload)
-    payload["tolerances"] = _tolerances(cfg)
+    payload["tolerances"] = {"tol_eq": args.tol_eq, "tol_kkt": args.tol_kkt}
     text = files.dumps(payload)
-    if cfg.output:
-        Path(cfg.output).write_text(text, encoding="utf-8")
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -76,18 +52,17 @@ def _matrix(x: np.ndarray) -> list[list[float]]:
     return [[float(v) for v in row] for row in x]
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    inst = files.load_instance(cfg.instance)
-    assert cfg.rho is not None
-    if cfg.rho.is_maxmin:
+def cmd_solve(args: argparse.Namespace) -> int:
+    inst = files.load_instance(args.instance)
+    if args.rho.is_maxmin:
         res = solve_maxmin(inst)
     else:
-        res = solve_ces(inst, cfg.rho, tol_kkt=cfg.tol_kkt)
+        res = solve_ces(inst, args.rho, tol_kkt=args.tol_kkt)
     _emit(
-        cfg,
+        args,
         {
             "command": "solve",
-            "rho": str(cfg.rho),
+            "rho": str(args.rho),
             "utilities": [float(v) for v in res.u_star],
             "allocation": _matrix(res.x_star.x),
             "duals": [float(v) for v in res.q],
@@ -98,19 +73,18 @@ def cmd_solve(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_equilibrium(cfg: RunConfig) -> int:
-    inst = files.load_instance(cfg.instance)
-    assert cfg.rho is not None and cfg.rho.is_finite
-    res = solve_ces(inst, cfg.rho, tol_kkt=cfg.tol_kkt)
-    bids, alloc = construct_atp_rho_equilibrium(inst, cfg.rho, tol=cfg.tol_eq, solve=res)
-    unit = CurveFamily.atp(cfg.rho.value, inst.m)
-    report = verify_tp_ne(inst, unit, bids, tol=cfg.tol_eq)
-    welfare = ces_welfare(cfg.rho, utilities(inst, alloc))
+def cmd_equilibrium(args: argparse.Namespace) -> int:
+    inst = files.load_instance(args.instance)
+    res = solve_ces(inst, args.rho, tol_kkt=args.tol_kkt)
+    bids, alloc = construct_atp_rho_equilibrium(inst, args.rho, tol=args.tol_eq, solve=res)
+    unit = CurveFamily.atp(args.rho.value, inst.m)
+    report = verify_tp_ne(inst, unit, bids, tol=args.tol_eq)
+    welfare = ces_welfare(args.rho, utilities(inst, alloc))
     _emit(
-        cfg,
+        args,
         {
             "command": "equilibrium",
-            "rho": str(cfg.rho),
+            "rho": str(args.rho),
             "bids": bids.to_lists(),
             "allocation": _matrix(alloc.x),
             "is_ne": report.is_ne,
@@ -122,12 +96,14 @@ def cmd_equilibrium(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    inst = files.load_instance(cfg.instance)
-    family = files.parse_curve_spec(cfg.curves, inst.m)
-    if cfg.bids is not None:
-        bids = files.load_bids(cfg.bids)
-        report = verify_tp_ne(inst, family, bids, tol=cfg.tol_eq)
+def cmd_verify(args: argparse.Namespace) -> int:
+    if (args.bids is None) == (args.allocation is None):
+        raise files.ParseError("verify needs exactly one of --bids or --allocation")
+    inst = files.load_instance(args.instance)
+    family = files.parse_curve_spec(args.curves, inst.m)
+    if args.bids is not None:
+        bids = files.load_bids(args.bids)
+        report = verify_tp_ne(inst, family, bids, tol=args.tol_eq)
         ok = report.is_ne
         payload = {
             "command": "verify",
@@ -136,8 +112,8 @@ def cmd_verify(cfg: RunConfig) -> int:
             "violated_condition": report.violated_condition,
         }
     else:
-        alloc = files.load_allocation(cfg.allocation)
-        report = verify_pce(inst, family, alloc, tol=cfg.tol_eq)
+        alloc = files.load_allocation(args.allocation)
+        report = verify_pce(inst, family, alloc, tol=args.tol_eq)
         ok = report.is_pce
         payload = {
             "command": "verify",
@@ -145,90 +121,82 @@ def cmd_verify(cfg: RunConfig) -> int:
             "is_pce": report.is_pce,
             "violated_condition": report.violated_condition,
         }
-    _emit(cfg, payload)
-    if cfg.extra.get("assert_mode") and not ok:
+    _emit(args, payload)
+    if args.assert_mode and not ok:
         return EXIT_VERIFY
     return EXIT_OK
 
 
-def cmd_reduce(cfg: RunConfig) -> int:
-    inst = files.load_instance(cfg.instance)
-    direction = cfg.extra["direction"]
-    if direction == "tp2pc":
-        family = files.parse_curve_spec(cfg.curves, inst.m)
-        bids = files.load_bids(cfg.bids)
-        alloc, g = tp_to_pce(inst, family, bids, tol=cfg.tol_eq)
+def cmd_reduce(args: argparse.Namespace) -> int:
+    if args.direction == "tp2pc" and args.bids is None:
+        raise files.ParseError("reduce tp2pc needs --bids")
+    if args.direction == "pc2tp" and args.allocation is None:
+        raise files.ParseError("reduce pc2tp needs --allocation")
+    inst = files.load_instance(args.instance)
+    if args.direction == "tp2pc":
+        family = files.parse_curve_spec(args.curves, inst.m)
+        bids = files.load_bids(args.bids)
+        alloc, g = tp_to_pce(inst, family, bids, tol=args.tol_eq)
         payload = {
             "command": "reduce",
-            "direction": direction,
+            "direction": args.direction,
             "allocation": _matrix(alloc.x),
             "price_curves": files.curves_to_lists(g),
         }
     else:
-        g = files.parse_curve_spec(cfg.curves, inst.m)
-        alloc = files.load_allocation(cfg.allocation)
-        h_degree = cfg.extra.get("h_degree") or 1.0
-        f, bids = pce_to_tp(inst, g, alloc, PowerCurve(1.0, h_degree), tol=cfg.tol_eq)
+        g = files.parse_curve_spec(args.curves, inst.m)
+        alloc = files.load_allocation(args.allocation)
+        f, bids = pce_to_tp(inst, g, alloc, PowerCurve(1.0, args.h_degree), tol=args.tol_eq)
         payload = {
             "command": "reduce",
-            "direction": direction,
+            "direction": args.direction,
             "constraint_curves": files.curves_to_lists(f),
             "bids": bids.to_lists(),
         }
-    _emit(cfg, payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
 def _random_feasible_bids(inst: Instance, f: CurveFamily, rng: np.random.Generator) -> BidMatrix:
-    rows = []
+    amounts = np.zeros((inst.n, inst.m))
     degrees = f.degrees
     for i in range(inst.n):
-        amounts = np.zeros(inst.m)
+        row = amounts[i]
         for j in inst.desired[i]:
-            amounts[j] = rng.uniform(0.05, 1.0)
-        cost = f.cost_rows(amounts[None, :])[0]
+            row[j] = rng.uniform(0.05, 1.0)
+        cost = f.cost_rows(row[None, :])[0]
         budget = rng.uniform(0.5, 1.0)
-        row = []
-        for j in range(inst.m):
-            if amounts[j] > 0:
-                scaled = amounts[j] * (budget / cost) ** (1.0 / degrees[j])
-                row.append(Bid.positive(scaled))
-            else:
-                row.append(Bid.zero())
-        rows.append(row)
-    return BidMatrix.from_rows(rows)
+        for j in inst.desired[i]:
+            row[j] *= (budget / cost) ** (1.0 / degrees[j])
+    return BidMatrix(amounts, np.zeros(amounts.shape, dtype=bool))
 
 
-def cmd_dynamics(cfg: RunConfig) -> int:
-    inst = files.load_instance(cfg.instance)
-    assert cfg.rho is not None and cfg.rho.is_finite
-    family = CurveFamily.atp(cfg.rho.value, inst.m)
-    rng = np.random.default_rng(cfg.seed)
-    bids = _random_feasible_bids(inst, family, rng)
-    rounds = cfg.extra.get("rounds", 50)
-    move_tol = cfg.extra.get("move_tol", 1e-9)
+def cmd_dynamics(args: argparse.Namespace) -> int:
+    inst = files.load_instance(args.instance)
+    family = CurveFamily.atp(args.rho.value, inst.m)
+    bids = _random_feasible_bids(inst, family, np.random.default_rng(args.seed))
     trajectory = []
     converged = False
-    for _ in range(rounds):
+    for _ in range(args.rounds):
         moved = 0.0
         for i in range(inst.n):
             before = float(utilities(inst, atp_allocate(inst, family, bids))[i])
             row, after = best_response(inst, family, bids, i)
             bids = bids.replace_row(i, row)
             moved = max(moved, after - before)
-        welfare = ces_welfare(cfg.rho, utilities(inst, atp_allocate(inst, family, bids)))
+        welfare = ces_welfare(args.rho, utilities(inst, atp_allocate(inst, family, bids)))
         trajectory.append(welfare)
-        if moved <= move_tol:
+        if moved <= args.move_tol:
             converged = True
             break
-    report = verify_tp_ne(inst, family, bids, tol=cfg.tol_eq)
-    res = solve_ces(inst, cfg.rho, tol_kkt=cfg.tol_kkt)
+    report = verify_tp_ne(inst, family, bids, tol=args.tol_eq)
+    res = solve_ces(inst, args.rho, tol_kkt=args.tol_kkt)
     _emit(
-        cfg,
+        args,
         {
             "command": "dynamics",
-            "rho": str(cfg.rho),
-            "seed": cfg.seed,
+            "rho": str(args.rho),
+            "seed": args.seed,
             "rounds_run": len(trajectory),
             "converged": converged,
             "welfare_per_round": trajectory,
@@ -240,34 +208,39 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_demos(cfg: RunConfig) -> int:
-    topic = cfg.extra["topic"]
+def cmd_demos(args: argparse.Namespace) -> int:
+    topic = args.topic
+    if topic in ("m2-truthful", "strategyproof-m1") and args.instance is None:
+        raise files.ParseError(f"demos {topic} needs --instance")
     if topic == "not-strategyproof":
-        assert cfg.rho is not None
-        report = demo_not_strategyproof_ces(cfg.rho, tol=cfg.tol_eq)
+        if args.rho is None:
+            raise files.ParseError("demos not-strategyproof needs --rho")
+        if args.rho.is_maxmin:
+            raise files.ParseError("demos not-strategyproof needs rho > -inf")
+        report = demo_not_strategyproof_ces(args.rho, tol=args.tol_eq)
     elif topic == "bad-ne":
-        report = demo_bad_ne_m1(cfg.extra["n"], tol=cfg.tol_eq)
+        report = demo_bad_ne_m1(args.n, tol=args.tol_eq)
     elif topic == "m2-truthful":
-        inst = files.load_instance(cfg.instance)
+        inst = files.load_instance(args.instance)
         report = demo_m2_truthful_ne(
             list(inst.supplies),
             [sorted(r) for r in inst.desired],
-            rng=np.random.default_rng(cfg.seed),
-            tol=cfg.tol_eq,
+            rng=np.random.default_rng(args.seed),
+            tol=args.tol_eq,
         )
     else:  # strategyproof-m1
-        inst = files.load_instance(cfg.instance)
+        inst = files.load_instance(args.instance)
         witnesses = {}
         for i in range(inst.n):
             found = check_strategyproof_m1(
-                inst.m, list(inst.supplies), [sorted(r) for r in inst.desired], i, tol=cfg.tol_eq
+                inst.m, list(inst.supplies), [sorted(r) for r in inst.desired], i, tol=args.tol_eq
             )
             if found is not None:
                 witnesses[str(i)] = found
         report = {"beneficial_deviations": witnesses, "strategyproof": not witnesses}
     payload = {"command": f"demos {topic}"}
     payload.update(report)
-    _emit(cfg, payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -286,10 +259,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="maximize welfare; report utilities, duals, residual")
     p.add_argument("--rho", required=True, help="-inf, a real < 1, or 1")
     common(p)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("equilibrium", help="construct and verify an optimal bid profile")
     p.add_argument("--rho", required=True, help="a real < 1")
     common(p)
+    p.set_defaults(func=cmd_equilibrium)
 
     p = sub.add_parser("verify", help="verify a bid profile or priced allocation")
     p.add_argument("--curves", required=True, help="atp_rho:<v>, linear, or file:<path>")
@@ -297,43 +272,46 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allocation", default=None, help="allocation JSON (price-curve mode)")
     p.add_argument("--assert", dest="assert_mode", action="store_true", help="exit 4 on failure")
     common(p)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reduce", help="convert between bid profiles and priced allocations")
     p.add_argument("--direction", choices=("tp2pc", "pc2tp"), required=True)
     p.add_argument("--curves", required=True)
     p.add_argument("--bids", default=None)
     p.add_argument("--allocation", default=None)
-    p.add_argument("--h-degree", type=float, default=None, help="fallback curve degree (pc2tp)")
+    p.add_argument("--h-degree", type=float, default=1.0, help="fallback curve degree (pc2tp), > 0")
     common(p)
+    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("dynamics", help="iterated best response from a seeded random profile")
     p.add_argument("--rho", required=True, help="a real < 1")
     p.add_argument("--rounds", type=int, default=50)
     p.add_argument("--move-tol", type=float, default=1e-9)
     common(p)
+    p.set_defaults(func=cmd_dynamics)
 
     p = sub.add_parser("demos", help="run a built-in demonstration")
     p.add_argument("topic", choices=("not-strategyproof", "bad-ne", "m2-truthful", "strategyproof-m1"))
     p.add_argument("--rho", default=None, help="for not-strategyproof: -inf excluded, 1 allowed")
     p.add_argument("--n", type=int, default=3, help="for bad-ne")
     p.add_argument("--instance", default=None, help="for m2-truthful / strategyproof-m1")
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tol-eq", type=float, default=TOL_EQ)
-    p.add_argument("--tol-kkt", type=float, default=TOL_KKT)
+    common(p, instance=False)
+    p.set_defaults(func=cmd_demos)
 
     return parser
 
 
-def _parse_rho(text: str, *, allow_one: bool, allow_maxmin: bool = True) -> Rho:
+#: Commands that take only a finite rho < 1; the others also accept 1 and -inf.
+_FINITE_RHO_COMMANDS = ("equilibrium", "dynamics")
+
+
+def _parse_rho(text: str, *, finite: bool) -> Rho:
     try:
         rho = Rho.parse(text)
     except ValueError as exc:
         raise files.ParseError(f"bad rho {text!r}: {exc}") from exc
-    if rho.is_one and not allow_one:
-        raise files.ParseError("rho = 1 is accepted only by 'solve' and 'demos'")
-    if rho.is_maxmin and not allow_maxmin:
-        raise files.ParseError("rho = -inf is not valid for this command")
+    if finite and not rho.is_finite:
+        raise files.ParseError(f"rho = {rho} is accepted only by 'solve' and 'demos'")
     return rho
 
 
@@ -345,95 +323,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        command = args.command
-        if command == "solve":
-            cfg = RunConfig(
-                command,
-                instance=args.instance,
-                rho=_parse_rho(args.rho, allow_one=True),
-                seed=args.seed,
-                tol_eq=args.tol_eq,
-                tol_kkt=args.tol_kkt,
-                output=args.output,
-            )
-            return cmd_solve(cfg)
-        if command == "equilibrium":
-            cfg = RunConfig(
-                command,
-                instance=args.instance,
-                rho=_parse_rho(args.rho, allow_one=False, allow_maxmin=False),
-                seed=args.seed,
-                tol_eq=args.tol_eq,
-                tol_kkt=args.tol_kkt,
-                output=args.output,
-            )
-            return cmd_equilibrium(cfg)
-        if command == "verify":
-            if (args.bids is None) == (args.allocation is None):
-                raise files.ParseError("verify needs exactly one of --bids or --allocation")
-            cfg = RunConfig(
-                command,
-                instance=args.instance,
-                curves=args.curves,
-                bids=args.bids,
-                allocation=args.allocation,
-                seed=args.seed,
-                tol_eq=args.tol_eq,
-                tol_kkt=args.tol_kkt,
-                output=args.output,
-                extra={"assert_mode": args.assert_mode},
-            )
-            return cmd_verify(cfg)
-        if command == "reduce":
-            if args.direction == "tp2pc" and args.bids is None:
-                raise files.ParseError("reduce tp2pc needs --bids")
-            if args.direction == "pc2tp" and args.allocation is None:
-                raise files.ParseError("reduce pc2tp needs --allocation")
-            cfg = RunConfig(
-                command,
-                instance=args.instance,
-                curves=args.curves,
-                bids=args.bids,
-                allocation=args.allocation,
-                seed=args.seed,
-                tol_eq=args.tol_eq,
-                tol_kkt=args.tol_kkt,
-                output=args.output,
-                extra={"direction": args.direction, "h_degree": args.h_degree},
-            )
-            return cmd_reduce(cfg)
-        if command == "dynamics":
-            cfg = RunConfig(
-                command,
-                instance=args.instance,
-                rho=_parse_rho(args.rho, allow_one=False, allow_maxmin=False),
-                seed=args.seed,
-                tol_eq=args.tol_eq,
-                tol_kkt=args.tol_kkt,
-                output=args.output,
-                extra={"rounds": args.rounds, "move_tol": args.move_tol},
-            )
-            return cmd_dynamics(cfg)
-        if command == "demos":
-            if args.topic in ("m2-truthful", "strategyproof-m1") and args.instance is None:
-                raise files.ParseError(f"demos {args.topic} needs --instance")
-            if args.topic == "not-strategyproof" and args.rho is None:
-                raise files.ParseError("demos not-strategyproof needs --rho")
-            rho = _parse_rho(args.rho, allow_one=True) if args.rho is not None else None
-            if rho is not None and rho.is_maxmin and args.topic == "not-strategyproof":
-                raise files.ParseError("demos not-strategyproof needs rho > -inf")
-            cfg = RunConfig(
-                command,
-                instance=args.instance,
-                rho=rho,
-                seed=args.seed,
-                tol_eq=args.tol_eq,
-                tol_kkt=args.tol_kkt,
-                output=args.output,
-                extra={"topic": args.topic, "n": args.n},
-            )
-            return cmd_demos(cfg)
-        raise files.ParseError(f"unknown command {command!r}")
+        if getattr(args, "rho", None) is not None:
+            args.rho = _parse_rho(args.rho, finite=args.command in _FINITE_RHO_COMMANDS)
+        if args.tol_eq < MIN_TOL or args.tol_kkt < MIN_TOL:
+            raise files.ParseError(f"tolerance overrides must be >= {MIN_TOL}")
+        return args.func(args)
     except files.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

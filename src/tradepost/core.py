@@ -176,7 +176,7 @@ class Allocation:
         if np.any(over > tol):
             j = int(np.argmax(over))
             raise ValueError(
-                f"good {j} oversubscribed: allocated {totals[j]!r} > supply {inst.supplies[j]!r}"
+                f"good {j} oversubscribed: allocated {float(totals[j])!r} > supply {inst.supplies[j]!r}"
             )
         return alloc
 

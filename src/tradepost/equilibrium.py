@@ -93,8 +93,8 @@ def verify_tp_ne(
         report = NeReport(
             False,
             violated_condition=(
-                f"condition 1: agent {i} holds {x.x[i, j]!r} of good {j}, "
-                f"expected {target[i, j]!r} (gap {err[worst]:.3e})"
+                f"condition 1: agent {i} holds {float(x.x[i, j])!r} of good {j}, "
+                f"expected {float(target[i, j])!r} (gap {err[worst]:.3e})"
             ),
         )
 
@@ -105,7 +105,7 @@ def verify_tp_ne(
         if gaps[i] > tol:
             report = NeReport(
                 False,
-                violated_condition=f"condition 2: agent {i} bid cost {costs[i]!r} != 1",
+                violated_condition=f"condition 2: agent {i} bid cost {float(costs[i])!r} != 1",
             )
 
     if report is None:
@@ -141,42 +141,36 @@ def deviation_sweep(
     base = utilities(inst, atp_allocate(inst, f, bids))
     best_gain = -math.inf
     witness: DeviationWitness | None = None
-
-    def consider(i: int, row: Sequence[Bid], value: float) -> None:
-        nonlocal best_gain, witness
-        gain = value - base[i]
-        if gain > best_gain:
-            best_gain = gain
-            witness = DeviationWitness(i, tuple(row), gain)
-
     for i in range(inst.n):
         row, value = best_response(inst, f, bids, i)
-        consider(i, row, value)
-        if rng is not None and n_random > 0:
-            for _ in range(n_random):
-                cand = _random_row(inst, f, bids, i, rng)
-                trial = bids.replace_row(i, cand)
-                value = float(utilities(inst, atp_allocate(inst, f, trial, check_budgets=False))[i])
-                consider(i, cand, value)
+        gain = value - base[i]
+        if gain > best_gain:
+            best_gain, witness = gain, DeviationWitness(i, row, gain)
+        if rng is None or n_random <= 0:
+            continue
+        amounts, beta = bids.amounts.copy(), bids.beta.copy()
+        for _ in range(n_random):
+            amounts[i], beta[i] = _random_row(inst, f, i, rng)
+            trial = BidMatrix(amounts, beta)
+            gain = float(utilities(inst, atp_allocate(inst, f, trial, check_budgets=False))[i]) - base[i]
+            if gain > best_gain:
+                best_gain, witness = gain, DeviationWitness(i, trial.row(i), gain)
 
     return best_gain, witness
 
 
 def _random_row(
-    inst: Instance, f: CurveFamily, bids: BidMatrix, i: int, rng: np.random.Generator
-) -> list[Bid]:
-    """A random budget-feasible row biased toward the agent's desired goods."""
-    m = inst.m
-    row = [Bid.zero()] * m
+    inst: Instance, f: CurveFamily, i: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """A random budget-feasible (amounts, beta) row biased toward the agent's desired goods."""
+    amounts = np.zeros(inst.m)
+    beta = np.zeros(inst.m, dtype=bool)
     desired = sorted(inst.desired[i])
-    amounts = np.zeros(m)
     for j in desired:
         mode = rng.random()
         if mode < 0.15:
-            row[j] = Bid.beta()
-        elif mode < 0.25:
-            row[j] = Bid.zero()
-        else:
+            beta[j] = True
+        elif mode >= 0.25:
             amounts[j] = rng.uniform(0.01, 1.0)
     cost = f.cost_rows(amounts[None, :])[0]
     if cost > 0:
@@ -186,8 +180,7 @@ def _random_row(
             if amounts[j] > 0:
                 # Scale each term so the row cost lands on `budget`.
                 amounts[j] *= (budget / cost) ** (1.0 / degrees[j])
-                row[j] = Bid.positive(amounts[j])
-    return row
+    return amounts, beta
 
 
 def verify_pce(
@@ -214,7 +207,8 @@ def verify_pce(
         return PceReport(
             False,
             violated_condition=(
-                f"condition 1: agent {i} buys {x.x[i, j]!r} of good {j}, expected {target[i, j]!r}"
+                f"condition 1: agent {i} buys {float(x.x[i, j])!r} of good {j}, "
+                f"expected {float(target[i, j])!r}"
             ),
         )
 
@@ -222,20 +216,26 @@ def verify_pce(
     gaps = np.abs(costs - 1.0)
     i = int(np.argmax(gaps))
     if gaps[i] > tol:
-        return PceReport(False, violated_condition=f"condition 2: agent {i} spends {costs[i]!r} != 1")
+        return PceReport(
+            False, violated_condition=f"condition 2: agent {i} spends {float(costs[i])!r} != 1"
+        )
 
     totals = x.x.sum(axis=0)
     over = (totals - s) / scale
     j = int(np.argmax(over))
     if over[j] > tol:
-        return PceReport(False, violated_condition=f"condition 3: good {j} oversold ({totals[j]!r} > {s[j]!r})")
+        return PceReport(
+            False,
+            violated_condition=f"condition 3: good {j} oversold ({float(totals[j])!r} > {float(s[j])!r})",
+        )
     slack = np.where(nonzero, np.abs(totals - s) / scale, 0.0)
     j = int(np.argmax(slack))
     if slack[j] > tol:
         return PceReport(
             False,
             violated_condition=(
-                f"condition 3: priced good {j} does not clear ({totals[j]!r} != {s[j]!r})"
+                f"condition 3: priced good {j} does not clear "
+                f"({float(totals[j])!r} != {float(s[j])!r})"
             ),
         )
     return PceReport(True)
@@ -292,21 +292,11 @@ def pce_to_tp(
     if h.is_zero:
         raise ValueError("fallback constraint curve must be strictly increasing")
 
-    curves = []
-    rows: list[list[Bid]] = []
-    zero_priced = [c.is_zero for c in g]
-    for j, c in enumerate(g):
-        curves.append(h if zero_priced[j] else c)
-    for i in range(inst.n):
-        row = []
-        for j in range(inst.m):
-            if zero_priced[j]:
-                row.append(Bid.beta() if j in inst.desired[i] else Bid.zero())
-            else:
-                q = float(x.x[i, j])
-                row.append(Bid.positive(q) if q > 0 else Bid.zero())
-        rows.append(row)
-    return CurveFamily(curves), BidMatrix.from_rows(rows)
+    zero_priced = np.array([c.is_zero for c in g])
+    curves = [h if zero else c for zero, c in zip(zero_priced, g)]
+    beta = zero_priced[None, :] & (inst.weights > 0)
+    amounts = np.where(zero_priced[None, :], 0.0, x.x)
+    return CurveFamily(curves), BidMatrix(amounts, beta)
 
 
 def scale_curves(f: CurveFamily, a: Sequence[float]) -> CurveFamily:

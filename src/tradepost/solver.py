@@ -120,11 +120,13 @@ def _quadratic_model(eps: float, s: np.ndarray) -> _DualModel:
     return _DualModel(response, slope, value)
 
 
-def _dual_residual(q: np.ndarray, gap: np.ndarray, scale: np.ndarray) -> float:
-    """Feasibility plus complementary slackness; gap = s - demand."""
-    feas = np.max(np.maximum(-gap, 0.0) / scale)
-    comp = np.max(q * np.abs(gap) / scale)
-    return float(max(feas, comp))
+def _feas_comp(W: np.ndarray, s: np.ndarray, u: np.ndarray, q: np.ndarray) -> tuple[float, float]:
+    """Feasibility and complementary-slackness residuals, relative to max(1, s_j)."""
+    scale = np.maximum(1.0, s)
+    demand = u @ W
+    feas = np.max(np.maximum(demand - s, 0.0) / scale)
+    comp = np.max(q * np.abs(s - demand) / scale)
+    return feas, comp
 
 
 def _newton_direction(
@@ -274,10 +276,7 @@ def kkt_residual_finite(inst: Instance, rho: Rho, u: np.ndarray, q: np.ndarray) 
     if not rho.is_finite:
         raise ValueError("finite-rho residual requested for non-finite rho")
     W, s = inst.weights, inst.supply_array
-    scale = np.maximum(1.0, s)
-    demand = u @ W
-    feas = np.max(np.maximum(demand - s, 0.0) / scale)
-    comp = np.max(q * np.abs(s - demand) / scale)
+    feas, comp = _feas_comp(W, s, u, q)
     Q = W @ q
     stat = np.max(np.abs(Q * u ** (1.0 - rho.value) - 1.0))
     return float(max(feas, comp, stat))
@@ -285,10 +284,7 @@ def kkt_residual_finite(inst: Instance, rho: Rho, u: np.ndarray, q: np.ndarray) 
 
 def _kkt_residual_sum(inst: Instance, u: np.ndarray, q: np.ndarray, utol: float = 1e-9) -> float:
     W, s = inst.weights, inst.supply_array
-    scale = np.maximum(1.0, s)
-    demand = u @ W
-    feas = np.max(np.maximum(demand - s, 0.0) / scale)
-    comp = np.max(q * np.abs(s - demand) / scale)
+    feas, comp = _feas_comp(W, s, u, q)
     Q = W @ q
     stat = np.max(np.where(u > utol, np.abs(Q - 1.0), np.maximum(0.0, 1.0 - Q)))
     return float(max(feas, comp, stat))
@@ -411,7 +407,7 @@ def _solve_sum(inst: Instance, *, tol_kkt: float, max_iter: int) -> SolveResult:
             u_raw = model.response(W @ q)
             if not np.all(np.isfinite(u_raw)):
                 return math.inf
-            return _dual_residual(q, s - u_raw @ W, scale)
+            return float(max(_feas_comp(W, s, u_raw, q)))
 
         q, used, _ok = _minimize_dual(
             W,
@@ -545,10 +541,7 @@ def solve_maxmin(inst: Instance) -> SolveResult:
     j_star = int(np.argmin(s / d))
     q[j_star] = 1.0 / d[j_star]
 
-    scale = np.maximum(1.0, s)
-    demand = u @ W
-    feas = np.max(np.maximum(demand - s, 0.0) / scale)
-    comp = np.max(q * np.abs(s - demand) / scale)
+    feas, comp = _feas_comp(W, s, u, q)
     stat = abs(float(q @ d) - 1.0)
     res = float(max(feas, comp, stat))
 

@@ -10,6 +10,7 @@ cost must not exceed 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -73,6 +74,13 @@ class Bid:
         return not self.is_beta and self.amount == 0.0
 
 
+def _as_bid(amount: float, is_beta: bool) -> Bid:
+    """The public cell view of one (amount, beta) matrix entry."""
+    if is_beta:
+        return Bid.beta()
+    return Bid.positive(amount) if amount > 0 else Bid.zero()
+
+
 class BidMatrix:
     """An n-by-m matrix of bids, stored as amounts plus a beta mask."""
 
@@ -109,13 +117,10 @@ class BidMatrix:
         return self.amounts.shape[1]
 
     def bid(self, i: int, j: int) -> Bid:
-        if self.beta[i, j]:
-            return Bid.beta()
-        a = self.amounts[i, j]
-        return Bid.positive(a) if a > 0 else Bid.zero()
+        return _as_bid(self.amounts[i, j], self.beta[i, j])
 
     def row(self, i: int) -> tuple[Bid, ...]:
-        return tuple(self.bid(i, j) for j in range(self.m))
+        return tuple(map(_as_bid, self.amounts[i].tolist(), self.beta[i].tolist()))
 
     def replace_row(self, i: int, bids: Sequence[Bid]) -> "BidMatrix":
         if len(bids) != self.m:
@@ -128,34 +133,36 @@ class BidMatrix:
 
     def to_lists(self) -> list[list[float | str]]:
         """JSON form: positive numbers, literal 0, or the string "beta"."""
-        out: list[list[float | str]] = []
-        for i in range(self.n):
-            row: list[float | str] = []
-            for j in range(self.m):
-                if self.beta[i, j]:
-                    row.append("beta")
-                else:
-                    row.append(float(self.amounts[i, j]))
-            out.append(row)
+        out = self.amounts.tolist()
+        for i, j in zip(*np.nonzero(self.beta)):
+            out[i][j] = "beta"
         return out
 
     @classmethod
     def from_lists(cls, data: Sequence[Sequence[float | str]]) -> "BidMatrix":
-        rows = []
+        """Parse the JSON form; every malformed cell is reported by position."""
+        if not data:
+            raise ValueError("bids must be a nonempty 2-D array")
+        m, largest = len(data[0]), sys.float_info.max
+        amounts = np.zeros((len(data), m))
+        beta = np.zeros((len(data), m), dtype=bool)
         for i, raw in enumerate(data):
-            row = []
+            if not isinstance(raw, (list, tuple)) or len(raw) != m:
+                raise ValueError(f"bids[{i}]: expected a row of {m} cells")
+            row = list(raw)
             for j, cell in enumerate(raw):
-                if isinstance(cell, str):
+                if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+                    if not 0 <= cell <= largest:
+                        raise ValueError(f"bids[{i}][{j}]: bid must be finite and >= 0, got {cell!r}")
+                elif isinstance(cell, str):
                     if cell.strip().lower() != "beta":
                         raise ValueError(f"bids[{i}][{j}]: unknown token {cell!r}")
-                    row.append(Bid.beta())
+                    beta[i, j] = True
+                    row[j] = 0.0
                 else:
-                    value = float(cell)
-                    if value < 0:
-                        raise ValueError(f"bids[{i}][{j}]: negative bid {value!r}")
-                    row.append(Bid.positive(value) if value > 0 else Bid.zero())
-            rows.append(row)
-        return cls.from_rows(rows)
+                    raise ValueError(f"bids[{i}][{j}]: expected a number or \"beta\", got {cell!r}")
+            amounts[i] = row
+        return cls(amounts, beta)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BidMatrix):
@@ -261,7 +268,12 @@ def bid_cost(f: CurveFamily, bids: Sequence[Bid]) -> float:
     f.require_constraint_curves()
     if len(bids) != f.m:
         raise ValueError(f"expected {f.m} bids")
-    return float(sum(f[j](b.amount) for j, b in enumerate(bids) if b.is_positive))
+    return _row_cost(f, [b.amount for b in bids])
+
+
+def _row_cost(f: CurveFamily, amounts: Sequence[float]) -> float:
+    """Budget cost of one row of amounts; zero amounts cost nothing."""
+    return float(sum(f[j](a) for j, a in enumerate(amounts) if a > 0))
 
 
 #: Relative width of the boundary band in which step-2 claims are trimmed to
@@ -272,10 +284,9 @@ _STEP3_BAND = 1e-6
 
 
 def _run_allocation_rule(
-    inst: Instance, bids: BidMatrix, tol_feas: float
+    inst: Instance, amounts: np.ndarray, beta: np.ndarray, tol_feas: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply steps 1-3; returns the final matrix and the step-3 trigger mask."""
-    amounts = bids.amounts
     s = inst.supply_array
     n, m = inst.n, inst.m
     x = np.zeros((n, m))
@@ -293,7 +304,7 @@ def _run_allocation_rule(
     free = ~priced
     over = np.zeros(m, dtype=bool)
     if free.any():
-        x[:, free] = np.where(bids.beta[:, free], level[:, None], 0.0)
+        x[:, free] = np.where(beta[:, free], level[:, None], 0.0)
 
         # Step 3, evaluated only after all step-2 allocations are in place.
         totals = x.sum(axis=0)
@@ -303,7 +314,7 @@ def _run_allocation_rule(
         if trim.any():
             x[:, trim] *= s[trim] / totals[trim]
         if over.any():
-            penalized = bids.beta[:, over].any(axis=1)
+            penalized = beta[:, over].any(axis=1)
             x[penalized, :] = 0.0
 
     return x, over
@@ -334,7 +345,7 @@ def atp_allocate(
             if costs[i] > 1.0 + tol_feas:
                 raise InfeasibleBid(i, float(costs[i]))
 
-    x, _ = _run_allocation_rule(inst, bids, tol_feas)
+    x, _ = _run_allocation_rule(inst, bids.amounts, bids.beta, tol_feas)
     return Allocation.checked(inst, x, tol=tol_feas)
 
 
@@ -373,23 +384,25 @@ def best_response(
     cap = min(s[j] for j in desired)
     hi = cap * (1.0 - 1e-12)
 
-    def build_row(t: float, forced_positive: set[int]) -> list[Bid]:
-        row = [Bid.zero()] * inst.m
+    def build_row(t: float, forced_positive: set[int]) -> tuple[np.ndarray, np.ndarray]:
+        amounts = np.zeros(inst.m)
+        beta = np.zeros(inst.m, dtype=bool)
         anchored = False
-        for j in paid:
-            if t > 0:
-                row[j] = Bid.positive(t * B[j] / (s[j] - t))
-                anchored = True
+        if t > 0 and paid:
+            amounts[paid] = t * B[paid] / (s[paid] - t)
+            anchored = True
         for j in free:
             if j in forced_positive:
-                row[j] = Bid.positive(_MIN_POSITIVE)
+                amounts[j] = _MIN_POSITIVE
                 anchored = True
             else:
-                row[j] = Bid.beta()
+                beta[j] = True
         if free and not anchored:
             # Beta needs a positively-bid good to copy from.
-            row[free[0]] = Bid.positive(_MIN_POSITIVE)
-        return row
+            amounts[free[0]] = _MIN_POSITIVE
+            beta[free[0]] = False
+        amounts[amounts <= TOL_BID] = 0.0
+        return amounts, beta
 
     def row_cost(t: float, forced_positive: set[int]) -> float:
         total = sum(f[j](t * B[j] / (s[j] - t)) for j in paid) if t > 0 else 0.0
@@ -398,15 +411,18 @@ def best_response(
             total += f[free[0]](_MIN_POSITIVE)
         return total
 
-    def evaluate(row: Sequence[Bid]) -> tuple[float, np.ndarray]:
-        trial = bids.replace_row(i, row)
-        x, over = _run_allocation_rule(inst, trial, TOL_FEAS)
+    # Candidate rows are written into row i of one working copy.
+    trial_amounts, trial_beta = bids.amounts.copy(), bids.beta.copy()
+
+    def evaluate(row: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray]:
+        trial_amounts[i], trial_beta[i] = row
+        x, over = _run_allocation_rule(inst, trial_amounts, trial_beta, TOL_FEAS)
         return float(utilities(inst, x)[i]), over
 
-    best_row: tuple[Bid, ...] = tuple(Bid.zero() for _ in range(inst.m))
+    best_row = (np.zeros(inst.m), np.zeros(inst.m, dtype=bool))
     best_util = 0.0
-    incumbent_row = bids.row(i)
-    if bid_cost(f, incumbent_row) <= 1.0 + TOL_FEAS:
+    incumbent_row = (bids.amounts[i], bids.beta[i])
+    if _row_cost(f, incumbent_row[0].tolist()) <= 1.0 + TOL_FEAS:
         best_row = incumbent_row
         best_util, _ = evaluate(incumbent_row)
 
@@ -429,16 +445,17 @@ def best_response(
         got, over = evaluate(row)
         if got > best_util:
             best_util = got
-            best_row = tuple(row)
+            best_row = row
         if got + tol_br * max(1.0, cap) >= t_star:
             break
         # A beta claim got penalized or under-delivered: force a positive bid
         # on every free good whose step-2 claims broke the supply constraint.
-        newly = {j for j in free if j not in forced and row[j].is_beta and over[j]}
+        row_beta = row[1]
+        newly = {j for j in free if j not in forced and row_beta[j] and over[j]}
         if not newly:
             newly = {j for j in free if j not in forced}
             if not newly:
                 break
         forced |= newly
 
-    return best_row, best_util
+    return tuple(map(_as_bid, best_row[0].tolist(), best_row[1].tolist())), best_util

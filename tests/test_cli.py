@@ -237,6 +237,16 @@ class TestReduceCommand:
         assert code == EXIT_OK
         assert read(out)["bids"] == [[0.5], [0.5]]
 
+    def test_pc2tp_rejects_nonpositive_h_degree(self, shared_good_path, tmp_path):
+        curves = tmp_path / "curves.json"
+        curves.write_text(json.dumps([[2.0, 1.0]]))
+        alloc = tmp_path / "x.json"
+        alloc.write_text(json.dumps([[0.5], [0.5]]))
+        for degree in ("0", "-1"):
+            argv = ["reduce", "--direction", "pc2tp", "--curves", f"file:{curves}"]
+            argv += ["--allocation", str(alloc), "--h-degree", degree, shared_good_path]
+            assert main(argv) == EXIT_PARSE
+
 
 class TestDynamicsCommand:
     def test_shared_good_converges(self, shared_good_path, tmp_path):

@@ -53,6 +53,7 @@ class TestVerifyTpNe:
         rep = verify_tp_ne(inst, f, b)
         assert not rep.is_ne
         assert "condition 2" in rep.violated_condition
+        assert "np.float64" not in rep.violated_condition
 
     def test_bid_on_undesired_good_fails(self):
         inst = Instance([1.0, 1.0], [{0}, {0, 1}])
@@ -114,6 +115,7 @@ class TestVerifyPce:
         rep = verify_pce(inst, g, x)
         assert not rep.is_pce
         assert "condition 2" in rep.violated_condition
+        assert "np.float64" not in rep.violated_condition
 
     def test_zero_priced_good_may_be_left_over(self):
         inst = Instance([1.0, 5.0], [{0, 1}, {0}])

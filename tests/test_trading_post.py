@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,18 @@ class TestBidMatrix:
     def test_bad_token(self):
         with pytest.raises(ValueError, match="unknown token"):
             BidMatrix.from_lists([["gamma"]])
+        malformed = [
+            ([[0.5, float("nan")]], "bids[0][1]"),
+            ([[0.5], [float("inf")]], "bids[1][0]"),
+            ([[0.5], [10**400]], "bids[1][0]"),
+            ([[True, 0.5]], "bids[0][0]"),
+            ([[0.5, None]], "bids[0][1]"),
+            ([[0.5], [[0.5]]], "bids[1][0]"),
+            ([[0.5, 0.5], [0.5]], "bids[1]"),
+        ]
+        for data, where in malformed:
+            with pytest.raises(ValueError, match=re.escape(where + ":")):
+                BidMatrix.from_lists(data)
 
     def test_replace_row(self):
         b = BidMatrix.from_rows([[Bid.positive(0.5)], [Bid.positive(0.5)]])

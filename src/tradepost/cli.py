@@ -27,7 +27,14 @@ from .maxmin import (
     demo_not_strategyproof_ces,
 )
 from .solver import TOL_KKT, NonConvergence, solve_ces, solve_maxmin
-from .trading_post import BidMatrix, CurveFamily, PowerCurve, atp_allocate, best_response
+from .trading_post import (
+    BidMatrix,
+    CurveFamily,
+    PowerCurve,
+    _row_utility,
+    atp_allocate,
+    best_response,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -180,7 +187,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     for _ in range(args.rounds):
         moved = 0.0
         for i in range(inst.n):
-            before = float(utilities(inst, atp_allocate(inst, family, bids))[i])
+            before, _ = _row_utility(inst, bids.amounts, bids.beta, i)
             row, after = best_response(inst, family, bids, i)
             bids = bids.replace_row(i, row)
             moved = max(moved, after - before)

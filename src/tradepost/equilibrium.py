@@ -19,10 +19,13 @@ import numpy as np
 from .core import Allocation, Instance, Rho, ces_welfare, utilities
 from .solver import TOL_DUAL, SolveResult, solve_ces
 from .trading_post import (
+    TOL_BID,
     Bid,
     BidMatrix,
     CurveFamily,
     PowerCurve,
+    _bid_row,
+    _row_utility,
     atp_allocate,
     best_response,
 )
@@ -151,10 +154,10 @@ def deviation_sweep(
         amounts, beta = bids.amounts.copy(), bids.beta.copy()
         for _ in range(n_random):
             amounts[i], beta[i] = _random_row(inst, f, i, rng)
-            trial = BidMatrix(amounts, beta)
-            gain = float(utilities(inst, atp_allocate(inst, f, trial, check_budgets=False))[i]) - base[i]
+            amounts[i, amounts[i] <= TOL_BID] = 0.0
+            gain = _row_utility(inst, amounts, beta, i)[0] - base[i]
             if gain > best_gain:
-                best_gain, witness = gain, DeviationWitness(i, trial.row(i), gain)
+                best_gain, witness = gain, DeviationWitness(i, _bid_row(amounts[i], beta[i]), gain)
 
     return best_gain, witness
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -26,6 +27,11 @@ def _load_json(path: str | Path) -> Any:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
+def _is_number(cell: Any) -> bool:
+    """A JSON number; booleans, although ints in Python, are not."""
+    return isinstance(cell, (int, float)) and not isinstance(cell, bool)
+
+
 def load_instance(path: str | Path) -> Instance:
     """Read ``{"supplies": [...], "agents": [{"desired": [...]}, ...]}``."""
     data = _load_json(path)
@@ -37,6 +43,9 @@ def load_instance(path: str | Path) -> Instance:
         raise ParseError(f"{path}: field 'supplies' must be a nonempty array")
     if not isinstance(agents, list) or not agents:
         raise ParseError(f"{path}: field 'agents' must be a nonempty array")
+    for j, cell in enumerate(supplies):
+        if not _is_number(cell) or not 0 < cell <= sys.float_info.max:
+            raise ParseError(f"{path}: supplies[{j}]: expected a finite number > 0, got {cell!r}")
     desired = []
     for i, agent in enumerate(agents):
         if not isinstance(agent, dict) or "desired" not in agent:
@@ -44,6 +53,9 @@ def load_instance(path: str | Path) -> Instance:
         goods = agent["desired"]
         if not isinstance(goods, list):
             raise ParseError(f"{path}: agents[{i}].desired must be an array of good indices")
+        for k, cell in enumerate(goods):
+            if not isinstance(cell, int) or isinstance(cell, bool):
+                raise ParseError(f"{path}: agents[{i}].desired[{k}]: expected a good index, got {cell!r}")
         desired.append(goods)
     try:
         return Instance(supplies, desired)
@@ -75,11 +87,29 @@ def save_bids(bids: BidMatrix, path: str | Path) -> None:
 
 
 def load_allocation(path: str | Path) -> Allocation:
+    """Read an n-by-m array of finite nonnegative numbers."""
     data = _load_json(path)
-    try:
-        return Allocation(np.asarray(data, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
+        raise ParseError(f"{path}: allocation must be a nonempty 2-D array")
+    m, largest = len(data[0]), sys.float_info.max
+
+    def bad_cell(i: int, j: int) -> ParseError:
+        return ParseError(f"{path}: allocation[{i}][{j}]: expected a finite number >= 0, got {data[i][j]!r}")
+
+    for i, row in enumerate(data):
+        if len(row) != m:
+            raise ParseError(f"{path}: allocation[{i}]: expected a row of {m} cells")
+        # Rows of JSON floats are range-checked below in one array pass; a
+        # row holding anything else is checked here, cell by cell.
+        if set(map(type, row)) != {float}:
+            for j, cell in enumerate(row):
+                if not _is_number(cell) or not 0 <= cell <= largest:
+                    raise bad_cell(i, j)
+    x = np.array(data, dtype=float)
+    ok = (x >= 0) & (x <= largest)
+    if not ok.all():
+        raise bad_cell(*np.argwhere(~ok)[0].tolist())
+    return Allocation(x)
 
 
 def load_curves(path: str | Path) -> CurveFamily:
@@ -89,11 +119,11 @@ def load_curves(path: str | Path) -> CurveFamily:
         raise ParseError(f"{path}: curves must be a nonempty array of [coeff, degree] pairs")
     curves = []
     for j, pair in enumerate(data):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"{path}: curves[{j}] must be a [coeff, degree] pair")
+        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
+            raise ParseError(f"{path}: curves[{j}]: expected a [coeff, degree] pair of numbers, got {pair!r}")
         try:
             curves.append(PowerCurve(float(pair[0]), float(pair[1])))
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, ValueError) as exc:
             raise ParseError(f"{path}: curves[{j}]: {exc}") from exc
     return CurveFamily(curves)
 

@@ -74,11 +74,21 @@ class Bid:
         return not self.is_beta and self.amount == 0.0
 
 
+#: Bid is frozen, so every zero or beta cell can share one instance.
+_ZERO_BID = Bid.zero()
+_BETA_BID = Bid.beta()
+
+
 def _as_bid(amount: float, is_beta: bool) -> Bid:
     """The public cell view of one (amount, beta) matrix entry."""
     if is_beta:
-        return Bid.beta()
-    return Bid.positive(amount) if amount > 0 else Bid.zero()
+        return _BETA_BID
+    return Bid.positive(amount) if amount > 0 else _ZERO_BID
+
+
+def _bid_row(amounts: np.ndarray, beta: np.ndarray) -> tuple[Bid, ...]:
+    """The public view of one (amounts, beta) row."""
+    return tuple(map(_as_bid, amounts.tolist(), beta.tolist()))
 
 
 class BidMatrix:
@@ -120,7 +130,7 @@ class BidMatrix:
         return _as_bid(self.amounts[i, j], self.beta[i, j])
 
     def row(self, i: int) -> tuple[Bid, ...]:
-        return tuple(map(_as_bid, self.amounts[i].tolist(), self.beta[i].tolist()))
+        return _bid_row(self.amounts[i], self.beta[i])
 
     def replace_row(self, i: int, bids: Sequence[Bid]) -> "BidMatrix":
         if len(bids) != self.m:
@@ -289,12 +299,11 @@ def _run_allocation_rule(
     """Apply steps 1-3; returns the final matrix and the step-3 trigger mask."""
     s = inst.supply_array
     n, m = inst.n, inst.m
-    x = np.zeros((n, m))
 
+    # Unpriced columns hold only zero amounts, so step 1 leaves them at 0.
     col_total = amounts.sum(axis=0)
     priced = col_total > 0
-    if priced.any():
-        x[:, priced] = amounts[:, priced] / col_total[priced] * s[priced]
+    x = amounts / np.where(priced, col_total, 1.0) * s
 
     # Step 2: each row's duplication level is its first positively-bid good's
     # step-1 share (0 if the row has no positive bid).
@@ -318,6 +327,28 @@ def _run_allocation_rule(
             x[penalized, :] = 0.0
 
     return x, over
+
+
+def _row_utility(
+    inst: Instance, amounts: np.ndarray, beta: np.ndarray, i: int
+) -> tuple[float, np.ndarray | None]:
+    """Agent ``i``'s utility under the allocation rule, exactly as ``atp_allocate`` gives it.
+
+    Unless row ``i`` claims beta on a good nobody pays for, steps 2 and 3
+    leave the row as step 1 made it: a penalty zeroes only the rows of beta
+    bidders on over-claimed free goods, and trimming scales only free
+    columns, where the row holds 0.  The row then takes the same operations
+    as in step 1 and nothing more.  Otherwise the full rule runs, and its
+    step-3 mask is returned as well; the mask is ``None`` when it cannot
+    concern row ``i``.
+    """
+    col_total = amounts.sum(axis=0)
+    priced = col_total > 0
+    if not (beta[i] & ~priced).any():
+        share = amounts[i] / np.where(priced, col_total, 1.0) * inst.supply_array
+        return float(np.where(inst.weights[i] > 0, share, np.inf).min()), None
+    x, over = _run_allocation_rule(inst, amounts, beta, TOL_FEAS)
+    return float(utilities(inst, x)[i]), over
 
 
 def atp_allocate(
@@ -380,9 +411,12 @@ def best_response(
     B = _others_positive(bids, i)
     paid = [j for j in desired if B[j] > 0]
     free = [j for j in desired if B[j] == 0]
+    # Python floats per paid good: the bisection evaluates these ~30 times.
+    paid_terms = [(float(B[j]), float(s[j]), f[j].coeff, f[j].degree) for j in paid]
 
-    cap = min(s[j] for j in desired)
+    cap = float(min(s[j] for j in desired))
     hi = cap * (1.0 - 1e-12)
+    tol_t = tol_br * max(1.0, cap)
 
     def build_row(t: float, forced_positive: set[int]) -> tuple[np.ndarray, np.ndarray]:
         amounts = np.zeros(inst.m)
@@ -404,20 +438,18 @@ def best_response(
         amounts[amounts <= TOL_BID] = 0.0
         return amounts, beta
 
-    def row_cost(t: float, forced_positive: set[int]) -> float:
-        total = sum(f[j](t * B[j] / (s[j] - t)) for j in paid) if t > 0 else 0.0
-        total += sum(f[j](_MIN_POSITIVE) for j in forced_positive)
-        if free and not paid and not forced_positive:
-            total += f[free[0]](_MIN_POSITIVE)
-        return total
+    def row_cost(t: float, fixed: float) -> float:
+        total = 0.0
+        for B_j, s_j, coeff, degree in paid_terms:
+            total += coeff * (t * B_j / (s_j - t)) ** degree
+        return total + fixed
 
     # Candidate rows are written into row i of one working copy.
     trial_amounts, trial_beta = bids.amounts.copy(), bids.beta.copy()
 
-    def evaluate(row: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray]:
+    def evaluate(row: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray | None]:
         trial_amounts[i], trial_beta[i] = row
-        x, over = _run_allocation_rule(inst, trial_amounts, trial_beta, TOL_FEAS)
-        return float(utilities(inst, x)[i]), over
+        return _row_utility(inst, trial_amounts, trial_beta, i)
 
     best_row = (np.zeros(inst.m), np.zeros(inst.m, dtype=bool))
     best_util = 0.0
@@ -428,15 +460,19 @@ def best_response(
 
     forced: set[int] = set()
     for _ in range(len(free) + 1):
-        if row_cost(0.0, forced) > 1.0 + TOL_FEAS:
+        # The minimal positive bids cost the same whatever the target.
+        fixed = sum(f[j](_MIN_POSITIVE) for j in forced)
+        if free and not paid and not forced:
+            fixed += f[free[0]](_MIN_POSITIVE)
+        if fixed > 1.0 + TOL_FEAS:
             break
         lo, t_hi = 0.0, hi
-        if row_cost(t_hi, forced) <= 1.0:
+        if row_cost(t_hi, fixed) <= 1.0:
             t_star = t_hi
         else:
-            while t_hi - lo > tol_br * max(1.0, cap):
+            while t_hi - lo > tol_t:
                 mid = 0.5 * (lo + t_hi)
-                if row_cost(mid, forced) <= 1.0:
+                if row_cost(mid, fixed) <= 1.0:
                     lo = mid
                 else:
                     t_hi = mid
@@ -446,10 +482,11 @@ def best_response(
         if got > best_util:
             best_util = got
             best_row = row
-        if got + tol_br * max(1.0, cap) >= t_star:
+        if got + tol_t >= t_star:
             break
         # A beta claim got penalized or under-delivered: force a positive bid
         # on every free good whose step-2 claims broke the supply constraint.
+        # (A row with a beta claim on a free good always gets the rule's mask.)
         row_beta = row[1]
         newly = {j for j in free if j not in forced and row_beta[j] and over[j]}
         if not newly:
@@ -458,4 +495,4 @@ def best_response(
                 break
         forced |= newly
 
-    return tuple(map(_as_bid, best_row[0].tolist(), best_row[1].tolist())), best_util
+    return _bid_row(*best_row), best_util

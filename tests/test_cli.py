@@ -1,11 +1,17 @@
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tradepost import five_by_seven_instance
+from tradepost import CurveFamily, Rho, construct_atp_rho_equilibrium, five_by_seven_instance
+from tradepost import cli as cli_module
+from tradepost import equilibrium as equilibrium_module
 from tradepost.cli import EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
-from tradepost.files import save_instance
+from tradepost.files import load_instance, save_instance
+
+SIX_BY_FOUR = str(Path(__file__).parent / "golden" / "inputs" / "six_by_four.json")
 
 
 @pytest.fixture()
@@ -74,6 +80,22 @@ class TestSolveCommand:
         bad.write_text(json.dumps({"supplies": [1.0]}))
         assert main(["solve", "--rho", "-1", str(bad)]) == EXIT_PARSE
         assert "agents" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "instance, where",
+        [
+            ({"supplies": [True], "agents": [{"desired": [False]}]}, "supplies[0]:"),
+            ({"supplies": [None], "agents": [{"desired": [0]}]}, "supplies[0]:"),
+            ({"supplies": [1.0, 10**400], "agents": [{"desired": [0, 1]}]}, "supplies[1]:"),
+            ({"supplies": [1.0], "agents": [{"desired": [False]}]}, "agents[0].desired[0]:"),
+            ({"supplies": [1.0], "agents": [{"desired": [0]}, {"desired": [0, "1"]}]}, "agents[1].desired[1]:"),
+        ],
+    )
+    def test_malformed_instance_cell(self, tmp_path, capsys, instance, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(instance))
+        assert main(["solve", "--rho", "-1", str(bad)]) == EXIT_PARSE
+        assert where in capsys.readouterr().err
 
     def test_rho_validation(self, shared_good_path):
         assert main(["solve", "--rho", "2.0", shared_good_path]) == EXIT_PARSE
@@ -166,6 +188,32 @@ class TestVerifyCommand:
         )
         assert code == EXIT_OK
         assert read(out)["is_pce"] is True
+
+    @pytest.mark.parametrize(
+        "allocation, where",
+        [
+            ([[True], [0.5]], "allocation[0][0]:"),
+            ([[0.5], [None]], "allocation[1][0]:"),
+            ([[0.5], [-1.0]], "allocation[1][0]:"),
+            ([[0.5], [0.5, 0.5]], "allocation[1]:"),
+        ],
+    )
+    def test_malformed_allocation_cell(self, shared_good_path, tmp_path, capsys, allocation, where):
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps(allocation))
+        argv = ["verify", "--curves", "linear", "--allocation", str(alloc), shared_good_path]
+        assert main(argv) == EXIT_PARSE
+        assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", [[True, True], [None, 1.0], [1.0]])
+    def test_malformed_curve_pair(self, shared_good_path, tmp_path, capsys, pair):
+        curves = tmp_path / "curves.json"
+        curves.write_text(json.dumps([pair]))
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps([[0.5], [0.5]]))
+        argv = ["verify", "--curves", f"file:{curves}", "--allocation", str(alloc), shared_good_path]
+        assert main(argv) == EXIT_PARSE
+        assert "curves[0]:" in capsys.readouterr().err
 
     def test_needs_exactly_one_input(self, shared_good_path):
         assert main(["verify", "--curves", "linear", shared_good_path]) == EXIT_PARSE
@@ -333,3 +381,46 @@ class TestDeterminism:
         assert main(args + ["-o", str(out1)]) == EXIT_OK
         assert main(args + ["-o", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestCallCounts:
+    """Calls made under the names the benchmark's tracer wraps.
+
+    A per-layer span counts the calls looked up through one module attribute,
+    so these counts are what the benchmark's call metrics report.
+    """
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = Counter()
+        targets = (
+            (cli_module, "best_response"),
+            (cli_module, "atp_allocate"),
+            (equilibrium_module, "best_response"),
+        )
+        for module, name in targets:
+            original = getattr(module, name)
+
+            def counted(*args, _key=f"{module.__name__}.{name}", _fn=original, **kwargs):
+                counts[_key] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_dynamics(self, counts, tmp_path):
+        out = tmp_path / "out.json"
+        argv = ["dynamics", "--rho", "0", "--seed", "7", "--rounds", "3", SIX_BY_FOUR]
+        assert main(argv + ["-o", str(out)]) == EXIT_OK
+        rounds = read(out)["rounds_run"]
+        assert rounds == 3
+        n = load_instance(SIX_BY_FOUR).n
+        assert counts == {"tradepost.cli.best_response": n * rounds, "tradepost.cli.atp_allocate": rounds}
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_deviation_sweep(self, counts, seed):
+        inst = load_instance(SIX_BY_FOUR)
+        bids, _ = construct_atp_rho_equilibrium(inst, Rho.nash())
+        rng = None if seed is None else np.random.default_rng(seed)
+        equilibrium_module.deviation_sweep(inst, CurveFamily.atp(0.0, inst.m), bids, rng=rng, n_random=20)
+        assert counts == {"tradepost.equilibrium.best_response": inst.n}

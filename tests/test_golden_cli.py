@@ -76,6 +76,12 @@ CASES = {
         ["dynamics", "--rho", "0", "--seed", "7", "--rounds", "5", _in("six_by_four.json")],
         EXIT_OK,
     ),
+    # Agent 1's lone good 3 ends on a beta claim; agent 4 wants only its own
+    # goods 4 and 5, so its beta claim on good 5 overflows and is forced positive.
+    "dynamics_private_seed7": (
+        ["dynamics", "--rho", "0", "--seed", "7", "--rounds", "5", _in("private_goods.json")],
+        EXIT_OK,
+    ),
 }
 
 

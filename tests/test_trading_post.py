@@ -1,12 +1,15 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_instance
 from tradepost import (
     TOL_BID,
+    TOL_FEAS,
     Bid,
     BidMatrix,
     CurveFamily,
@@ -16,7 +19,9 @@ from tradepost import (
     atp_allocate,
     best_response,
     bid_cost,
+    utilities,
 )
+from tradepost.trading_post import _row_utility, _run_allocation_rule
 
 COMMON = dict(deadline=None, derandomize=True)
 
@@ -260,3 +265,61 @@ def test_allocation_is_deterministic():
     x1 = atp_allocate(inst, f, b)
     x2 = atp_allocate(inst, f, b)
     assert np.array_equal(x1.x, x2.x)
+
+
+def _random_profile(rng: np.random.Generator, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Amounts on some desired and undesired goods, zero columns, beta anywhere."""
+    amounts = np.zeros((inst.n, inst.m))
+    beta = np.zeros((inst.n, inst.m), dtype=bool)
+    unpaid = rng.random(inst.m) < 0.4
+    draw = rng.random((inst.n, inst.m))
+    for i in range(inst.n):
+        for j in range(inst.m):
+            if draw[i, j] < 0.3:
+                beta[i, j] = True
+            elif not unpaid[j] and draw[i, j] < (0.8 if j in inst.desired[i] else 0.4):
+                amounts[i, j] = rng.uniform(0.01, 1.0)
+    return amounts, beta
+
+
+def _step2_claims(inst: Instance, amounts: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Per unpaid good, the summed step-1 level of its beta claimants."""
+    col = amounts.sum(axis=0)
+    shares = np.where(col > 0, amounts / np.where(col > 0, col, 1.0), 0.0) * inst.supply_array
+    has_pos = amounts > 0
+    level = np.where(has_pos.any(axis=1), shares[np.arange(inst.n), np.argmax(has_pos, axis=1)], 0.0)
+    return np.where(col == 0, (beta * level[:, None]).sum(axis=0), 0.0)
+
+
+class TestRowUtility:
+    """The single-row evaluator equals the full rule's utility bit for bit."""
+
+    def test_matches_full_rule(self):
+        rng = np.random.default_rng(606)
+        seen = Counter()
+        for _ in range(400):
+            inst = random_instance(rng, n_max=7, m_max=6)
+            amounts, beta = _random_profile(rng, inst)
+            claims = _step2_claims(inst, amounts, beta)
+            # The same profile where every claimed free good is a hair short of
+            # its claims (so step 3 trims it) or well short (so it penalizes).
+            variants = [inst]
+            for factor in (1.0 - 1e-9, 0.5):
+                supplies = np.where(claims > 0, claims * factor, inst.supply_array)
+                variants.append(Instance(supplies, inst.desired))
+            for v in variants:
+                bids = BidMatrix(amounts, beta)
+                x = atp_allocate(v, CurveFamily.linear(v.m), bids, check_budgets=False)
+                _, rule_over = _run_allocation_rule(v, bids.amounts, bids.beta, TOL_FEAS)
+                expected = utilities(v, x)
+                trimmed = (claims > v.supply_array) & ~rule_over
+                seen["trim"] += int(trimmed.any())
+                for i in range(v.n):
+                    got, over = _row_utility(v, bids.amounts, bids.beta, i)
+                    assert got == expected[i]
+                    if over is None:
+                        seen["fast"] += 1
+                    else:
+                        assert np.array_equal(over, rule_over)
+                        seen["penalty" if (over & bids.beta[i]).any() else "slow"] += 1
+        assert min(seen[k] for k in ("fast", "slow", "penalty", "trim")) >= 100, seen

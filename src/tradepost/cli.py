@@ -55,10 +55,6 @@ def _emit(args: argparse.Namespace, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _matrix(x: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in x]
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = files.load_instance(args.instance)
     if args.rho.is_maxmin:
@@ -71,7 +67,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "command": "solve",
             "rho": str(args.rho),
             "utilities": [float(v) for v in res.u_star],
-            "allocation": _matrix(res.x_star.x),
+            "allocation": res.x_star.x.tolist(),
             "duals": [float(v) for v in res.q],
             "objective": res.objective,
             "kkt_residual": res.kkt_residual,
@@ -93,7 +89,7 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
             "command": "equilibrium",
             "rho": str(args.rho),
             "bids": bids.to_lists(),
-            "allocation": _matrix(alloc.x),
+            "allocation": alloc.x.tolist(),
             "is_ne": report.is_ne,
             "welfare": welfare,
             "optimum": res.objective,
@@ -147,7 +143,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         payload = {
             "command": "reduce",
             "direction": args.direction,
-            "allocation": _matrix(alloc.x),
+            "allocation": alloc.x.tolist(),
             "price_curves": files.curves_to_lists(g),
         }
     else:

@@ -10,6 +10,8 @@ utilities.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -19,6 +21,24 @@ import numpy as np
 #: Absolute slack allowed when checking supply constraints (solver outputs
 #: are floating-point).
 TOL_FEAS = 1e-9
+
+
+def _supply(j: int, s: object) -> float:
+    """A supply must be a real number; booleans and strings are not."""
+    if isinstance(s, bool) or not isinstance(s, numbers.Real):
+        raise TypeError(f"supply of good {j} must be a real number, got {s!r}")
+    return float(s)
+
+
+def _good_index(i: int, j: object) -> int:
+    """A good index must be an integer, numpy integers included; booleans,
+    floats and strings are not."""
+    if not isinstance(j, bool):
+        try:
+            return operator.index(j)
+        except TypeError:
+            pass
+    raise TypeError(f"agent {i} desires good {j!r}, which is not an integer index")
 
 
 @dataclass(frozen=True)
@@ -33,8 +53,10 @@ class Instance:
     desired: tuple[frozenset[int], ...]
 
     def __init__(self, supplies: Sequence[float], desired: Sequence[Iterable[int]]):
-        object.__setattr__(self, "supplies", tuple(float(s) for s in supplies))
-        object.__setattr__(self, "desired", tuple(frozenset(int(j) for j in r) for r in desired))
+        object.__setattr__(self, "supplies", tuple(_supply(j, s) for j, s in enumerate(supplies)))
+        object.__setattr__(
+            self, "desired", tuple(frozenset(_good_index(i, j) for j in r) for i, r in enumerate(desired))
+        )
         self._validate()
 
     def _validate(self) -> None:

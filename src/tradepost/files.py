@@ -1,10 +1,11 @@
 """JSON file formats for instances, bids, allocations, and curve families."""
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -154,5 +155,47 @@ def parse_curve_spec(spec: str, m: int) -> CurveFamily:
 
 
 def dumps(payload: Any) -> str:
-    """Deterministic JSON: sorted keys, fixed layout, trailing newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON: sorted keys, fixed layout, trailing newline.
+
+    The text is exactly ``json.dumps(payload, indent=2, sort_keys=True)`` plus
+    a newline, which is the report format.  That call runs ``json``'s
+    pure-Python encoder, because the C encoder takes no indent; here each list
+    of plain scalars, such as a row of a matrix, goes through the C encoder in
+    one call instead, with the line break and indent in its item separator.
+    """
+    return _layout(payload, "\n") + "\n"
+
+
+#: Cell types the C encoder writes exactly as the indenting encoder does:
+#: both use ``float.__repr__`` (and NaN/Infinity) for floats.
+_PLAIN = frozenset((float, int, str, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=None)
+def _row_encoder(newline: str) -> Callable[[Any], str]:
+    """One encoder per depth; building one per row would slow small reports."""
+    return json.JSONEncoder(separators=("," + newline, ": ")).encode
+
+
+def _layout(obj: Any, newline: str) -> str:
+    """``obj`` laid out as by ``json.dumps(indent=2, sort_keys=True)``, at the
+    depth whose line break plus indent is ``newline``."""
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) <= _PLAIN:
+            body = _row_encoder(inner)(obj)[1:-1]
+        else:
+            body = ("," + inner).join([_layout(v, inner) for v in obj])
+        return "[" + inner + body + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(k, str) for k in obj):
+            # json converts and sorts non-string keys its own way; JSON text
+            # holds no raw newline, so re-indenting its lines is exact.
+            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
+        body = ("," + inner).join([json.dumps(k) + ": " + _layout(obj[k], inner) for k in sorted(obj)])
+        return "{" + inner + body + newline + "}"
+    return json.dumps(obj)

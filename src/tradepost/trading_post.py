@@ -150,28 +150,35 @@ class BidMatrix:
 
     @classmethod
     def from_lists(cls, data: Sequence[Sequence[float | str]]) -> "BidMatrix":
-        """Parse the JSON form; every malformed cell is reported by position."""
+        """Parse the JSON form; every malformed cell is reported by position.
+
+        A row of only floats and "beta" tokens is filled whole, and all such
+        cells are range-checked in one array pass; other rows are checked cell
+        by cell.  If anything is bad, every row is checked again cell by cell,
+        so that the error names the first bad cell in row-major order.
+        """
         if not data:
             raise ValueError("bids must be a nonempty 2-D array")
-        m, largest = len(data[0]), sys.float_info.max
+        m = len(data[0])
         amounts = np.zeros((len(data), m))
         beta = np.zeros((len(data), m), dtype=bool)
-        for i, raw in enumerate(data):
-            if not isinstance(raw, (list, tuple)) or len(raw) != m:
-                raise ValueError(f"bids[{i}]: expected a row of {m} cells")
-            row = list(raw)
-            for j, cell in enumerate(raw):
-                if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-                    if not 0 <= cell <= largest:
-                        raise ValueError(f"bids[{i}][{j}]: bid must be finite and >= 0, got {cell!r}")
-                elif isinstance(cell, str):
-                    if cell.strip().lower() != "beta":
-                        raise ValueError(f"bids[{i}][{j}]: unknown token {cell!r}")
-                    beta[i, j] = True
-                    row[j] = 0.0
+        try:
+            for i, raw in enumerate(data):
+                kinds = set(map(type, raw)) if isinstance(raw, (list, tuple)) and len(raw) == m else {None}
+                if kinds <= {float}:
+                    amounts[i] = raw
+                elif kinds <= {float, str} and all(map(_is_beta, {c for c in raw if type(c) is str})):
+                    is_str = [type(c) is str for c in raw]
+                    amounts[i] = [0.0 if s else c for c, s in zip(raw, is_str)]
+                    beta[i] = is_str
                 else:
-                    raise ValueError(f"bids[{i}][{j}]: expected a number or \"beta\", got {cell!r}")
-            amounts[i] = row
+                    amounts[i], beta[i] = _parse_row(i, raw, m)
+            if ((amounts >= 0) & (amounts <= sys.float_info.max)).all():
+                return cls(amounts, beta)
+        except ValueError:
+            pass
+        for i, raw in enumerate(data):
+            amounts[i], beta[i] = _parse_row(i, raw, m)
         return cls(amounts, beta)
 
     def __eq__(self, other: object) -> bool:
@@ -279,6 +286,28 @@ def bid_cost(f: CurveFamily, bids: Sequence[Bid]) -> float:
     if len(bids) != f.m:
         raise ValueError(f"expected {f.m} bids")
     return _row_cost(f, [b.amount for b in bids])
+
+
+def _is_beta(token: str) -> bool:
+    return token.strip().lower() == "beta"
+
+
+def _parse_row(i: int, raw: object, m: int) -> tuple[list[float], list[bool]]:
+    """Row ``i`` of a JSON bid array, checked cell by cell: (amounts, beta mask)."""
+    if not isinstance(raw, (list, tuple)) or len(raw) != m:
+        raise ValueError(f"bids[{i}]: expected a row of {m} cells")
+    row, mask = list(raw), [False] * m
+    for j, cell in enumerate(raw):
+        if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+            if not 0 <= cell <= sys.float_info.max:
+                raise ValueError(f"bids[{i}][{j}]: bid must be finite and >= 0, got {cell!r}")
+        elif isinstance(cell, str):
+            if not _is_beta(cell):
+                raise ValueError(f"bids[{i}][{j}]: unknown token {cell!r}")
+            row[j], mask[j] = 0.0, True
+        else:
+            raise ValueError(f"bids[{i}][{j}]: expected a number or \"beta\", got {cell!r}")
+    return row, mask
 
 
 def _row_cost(f: CurveFamily, amounts: Sequence[float]) -> float:

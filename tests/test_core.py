@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,31 @@ class TestInstance:
     def test_rejects_out_of_range_good(self):
         with pytest.raises(ValueError, match="out of range"):
             Instance([1.0], [{0, 3}])
+
+    @pytest.mark.parametrize(
+        "desired, where",
+        [
+            ([[0.7, 1], [1.9]], "agent 0 desires good 0.7"),
+            ([[0, 1], [1.0]], "agent 1 desires good 1.0"),
+            ([[0, 1], [True]], "agent 1 desires good True"),
+            ([[0, 1], ["1"]], "agent 1 desires good '1'"),
+            ([[0, 1], [np.float64(1.0)]], "agent 1 desires good np.float64(1.0)"),
+        ],
+    )
+    def test_rejects_non_integer_good(self, desired, where):
+        with pytest.raises(TypeError, match=re.escape(where)):
+            Instance([1.0, 2.0], desired)
+
+    @pytest.mark.parametrize("supply", [True, "3", None, b"1", 1 + 0j])
+    def test_rejects_non_real_supply(self, supply):
+        with pytest.raises(TypeError, match="supply of good 1 must be a real number"):
+            Instance([1.0, supply], [[0, 1]])
+
+    def test_accepts_numpy_numbers(self):
+        inst = Instance(np.array([1, 2.5]), [np.array([0, 1]), [np.int32(1)]])
+        assert inst.supplies == (1.0, 2.5)
+        assert inst.desired == (frozenset({0, 1}), frozenset({1}))
+        assert all(type(j) is int for r in inst.desired for j in r)
 
 
 class TestRho:

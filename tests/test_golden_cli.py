@@ -82,6 +82,17 @@ CASES = {
         ["dynamics", "--rho", "0", "--seed", "7", "--rounds", "5", _in("private_goods.json")],
         EXIT_OK,
     ),
+    # The demos reports pin the writer's other shapes: an empty object
+    # ("beneficial_deviations": {}) and objects of ints, floats, bools and null.
+    "demos_bad_ne_n3": (["demos", "bad-ne", "--n", "3"], EXIT_OK),
+    "demos_strategyproof_m1_beta": (
+        ["demos", "strategyproof-m1", "--instance", _in("beta_good.json")],
+        EXIT_OK,
+    ),
+    "demos_m2_truthful_beta": (
+        ["demos", "m2-truthful", "--instance", _in("beta_good.json")],
+        EXIT_OK,
+    ),
 }
 
 

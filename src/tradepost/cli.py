@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from . import files
-from .core import Instance, Rho, ces_welfare, utilities
+from .core import Rho, ces_welfare, utilities
 from .equilibrium import (
     TOL_EQ,
+    _random_row,
     construct_atp_rho_equilibrium,
     pce_to_tp,
     tp_to_pce,
@@ -79,9 +80,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_equilibrium(args: argparse.Namespace) -> int:
     inst = files.load_instance(args.instance)
     res = solve_ces(inst, args.rho, tol_kkt=args.tol_kkt)
+    # Construction verifies its bids with the unit family and raises otherwise.
     bids, alloc = construct_atp_rho_equilibrium(inst, args.rho, tol=args.tol_eq, solve=res)
-    unit = CurveFamily.atp(args.rho.value, inst.m)
-    report = verify_tp_ne(inst, unit, bids, tol=args.tol_eq)
     welfare = ces_welfare(args.rho, utilities(inst, alloc))
     _emit(
         args,
@@ -90,7 +90,7 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
             "rho": str(args.rho),
             "bids": bids.to_lists(),
             "allocation": alloc.x.tolist(),
-            "is_ne": report.is_ne,
+            "is_ne": True,
             "welfare": welfare,
             "optimum": res.objective,
             "welfare_gap": abs(welfare - res.objective) / max(1.0, abs(res.objective)),
@@ -160,24 +160,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _random_feasible_bids(inst: Instance, f: CurveFamily, rng: np.random.Generator) -> BidMatrix:
-    amounts = np.zeros((inst.n, inst.m))
-    degrees = f.degrees
-    for i in range(inst.n):
-        row = amounts[i]
-        for j in inst.desired[i]:
-            row[j] = rng.uniform(0.05, 1.0)
-        cost = f.cost_rows(row[None, :])[0]
-        budget = rng.uniform(0.5, 1.0)
-        for j in inst.desired[i]:
-            row[j] *= (budget / cost) ** (1.0 / degrees[j])
-    return BidMatrix(amounts, np.zeros(amounts.shape, dtype=bool))
-
-
 def cmd_dynamics(args: argparse.Namespace) -> int:
     inst = files.load_instance(args.instance)
     family = CurveFamily.atp(args.rho.value, inst.m)
-    bids = _random_feasible_bids(inst, family, np.random.default_rng(args.seed))
+    rng = np.random.default_rng(args.seed)
+    start = [_random_row(inst, family, i, rng) for i in range(inst.n)]
+    bids = BidMatrix(np.array([a for a, _ in start]), np.array([b for _, b in start]))
     trajectory = []
     converged = False
     for _ in range(args.rounds):

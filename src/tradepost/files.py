@@ -83,10 +83,6 @@ def load_bids(path: str | Path) -> BidMatrix:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def save_bids(bids: BidMatrix, path: str | Path) -> None:
-    Path(path).write_text(dumps(bids.to_lists()), encoding="utf-8")
-
-
 def load_allocation(path: str | Path) -> Allocation:
     """Read an n-by-m array of finite nonnegative numbers."""
     data = _load_json(path)

@@ -143,23 +143,36 @@ def check_strategyproof_m1(
     sets = [frozenset(int(j) for j in r) for r in true_sets]
     if not 0 <= i < len(sets):
         raise IndexError("agent index out of range")
-    baseline = _true_utility(sets[i], mechanism1(m_goods, supplies, sets).x[i])
-    goods = list(range(m_goods))
-    for size in range(m_goods + 1):
-        for combo in itertools.combinations(goods, size):
-            report = frozenset(combo)
-            if report == sets[i]:
-                continue
-            trial = list(sets)
-            trial[i] = report
-            value = _true_utility(sets[i], mechanism1(m_goods, supplies, trial).x[i])
-            if value > baseline + tol:
-                return {
-                    "agent": i,
-                    "report": sorted(report),
-                    "utility": value,
-                    "truthful_utility": baseline,
-                }
+    found = _profitable_report(m_goods, supplies, sets, sets, i, tol)
+    if found is None:
+        return None
+    report, value, baseline = found
+    return {"agent": i, "report": sorted(report), "utility": value, "truthful_utility": baseline}
+
+
+def _profitable_report(
+    m: int,
+    supplies: Sequence[float],
+    true_sets: Sequence[frozenset[int]],
+    profile: Sequence[frozenset[int]],
+    i: int,
+    tol: float,
+) -> tuple[frozenset[int], float, float] | None:
+    """Agent i's first profitable deviation from ``profile`` under mechanism1.
+
+    Reports are tried smallest subsets first; one is profitable when it raises
+    i's true utility by more than ``tol``.  Returns (report, utility, utility
+    at ``profile``), or None.
+    """
+    base = _true_utility(true_sets[i], mechanism1(m, supplies, profile).x[i])
+    for report in _all_subsets(m):
+        if report == profile[i]:
+            continue
+        trial = list(profile)
+        trial[i] = report
+        value = _true_utility(true_sets[i], mechanism1(m, supplies, trial).x[i])
+        if value > base + tol:
+            return report, value, base
     return None
 
 
@@ -177,16 +190,9 @@ def demo_bad_ne_m1(n: int, *, tol: float = TOL_EQ) -> dict:
     everything = frozenset(range(n))
 
     def is_equilibrium(profile: list[frozenset[int]]) -> bool:
-        for i in range(n):
-            base = _true_utility(true_sets[i], mechanism1(n, supplies, profile).x[i])
-            for size in range(n + 1):
-                for combo in itertools.combinations(range(n), size):
-                    trial = list(profile)
-                    trial[i] = frozenset(combo)
-                    value = _true_utility(true_sets[i], mechanism1(n, supplies, trial).x[i])
-                    if value > base + tol:
-                        return False
-        return True
+        return all(
+            _profitable_report(n, supplies, true_sets, profile, i, tol) is None for i in range(n)
+        )
 
     all_m = [everything] * n
     bad_alloc = mechanism1(n, supplies, all_m)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,18 +54,12 @@ class SolveResult:
     kkt_residual: float
 
 
-class _DualModel:
+class _DualModel(NamedTuple):
     """Closed-form primal response and dual value for one objective."""
 
-    def __init__(
-        self,
-        response: Callable[[np.ndarray], np.ndarray],
-        slope: Callable[[np.ndarray], np.ndarray],
-        value: Callable[[np.ndarray, np.ndarray], float],
-    ):
-        self.response = response
-        self.slope = slope
-        self.value = value
+    response: Callable[[np.ndarray], np.ndarray]
+    slope: Callable[[np.ndarray], np.ndarray]
+    value: Callable[[np.ndarray, np.ndarray], float]
 
 
 def _finite_model(r: float, s: np.ndarray) -> _DualModel:
@@ -120,13 +114,44 @@ def _quadratic_model(eps: float, s: np.ndarray) -> _DualModel:
     return _DualModel(response, slope, value)
 
 
-def _feas_comp(W: np.ndarray, s: np.ndarray, u: np.ndarray, q: np.ndarray) -> tuple[float, float]:
-    """Feasibility and complementary-slackness residuals, relative to max(1, s_j)."""
+def _feas_comp(
+    W: np.ndarray, s: np.ndarray, u: np.ndarray, q: np.ndarray
+) -> tuple[float, float, np.ndarray]:
+    """Feasibility and complementary-slackness residuals, relative to max(1, s_j).
+
+    Also returns the absolute clearing gaps |s_j - demand_j|.
+    """
     scale = np.maximum(1.0, s)
     demand = u @ W
+    gap = np.abs(s - demand)
     feas = np.max(np.maximum(demand - s, 0.0) / scale)
-    comp = np.max(q * np.abs(s - demand) / scale)
-    return feas, comp
+    comp = np.max(q * gap / scale)
+    return feas, comp, gap
+
+
+def _certificate(
+    W: np.ndarray, s: np.ndarray, rho: Rho, u: np.ndarray, q: np.ndarray, tol: float
+) -> tuple[float, bool]:
+    """Max KKT violation of (u, q) for any objective, and whether goods separate.
+
+    Stationarity is Q_i u_i^(1-rho) = 1 for finite rho; for the sum, Q_i = 1
+    on supported agents and Q_i >= 1 elsewhere; for maxmin, q . d = 1.  Goods
+    separate when each is clearly free (q_j <= TOL_DUAL) or clearly tight
+    (gap <= tol * max(1, s_j)), so price-curve construction can classify it.
+    """
+    if not np.all(np.isfinite(u)):
+        return math.inf, False
+    feas, comp, gap = _feas_comp(W, s, u, q)
+    if rho.is_maxmin:
+        stat = abs(float(q @ W.sum(axis=0)) - 1.0)
+    else:
+        Q = W @ q
+        if rho.is_one:
+            stat = np.max(np.where(u > 1e-9, np.abs(Q - 1.0), np.maximum(0.0, 1.0 - Q)))
+        else:
+            stat = np.max(np.abs(Q * u ** (1.0 - rho.value) - 1.0))
+    separated = bool(np.all((q <= TOL_DUAL) | (gap <= tol * np.maximum(1.0, s))))
+    return float(max(feas, comp, stat)), separated
 
 
 def _newton_direction(
@@ -148,6 +173,11 @@ def _newton_direction(
     return direction
 
 
+#: Damped-Newton and undamped-polish round limits of :func:`_minimize_dual`.
+_NEWTON_ROUNDS = 150
+_POLISH_ROUNDS = 12
+
+
 def _minimize_dual(
     W: np.ndarray,
     s: np.ndarray,
@@ -159,8 +189,6 @@ def _minimize_dual(
     goal: float,
     budget: int,
     warmup: int = 400,
-    newton_rounds: int = 150,
-    polish_rounds: int = 12,
 ) -> tuple[np.ndarray, int, bool]:
     """Multiplicative ascent, damped projected Newton, then an undamped polish.
 
@@ -194,7 +222,7 @@ def _minimize_dual(
 
     lam = 1e-12
     d_cur = model.value(q, W @ q)
-    for _ in range(newton_rounds):
+    for _ in range(_NEWTON_ROUNDS):
         if used >= budget:
             break
         used += 1
@@ -230,7 +258,7 @@ def _minimize_dual(
             break
 
     best_q, best_r = q.copy(), residual(q)
-    for _ in range(polish_rounds):
+    for _ in range(_POLISH_ROUNDS):
         if best_r <= goal or used >= budget:
             break
         used += 1
@@ -271,25 +299,6 @@ def _snap_feasible(W: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u * min(1.0, float(c))
 
 
-def kkt_residual_finite(inst: Instance, rho: Rho, u: np.ndarray, q: np.ndarray) -> float:
-    """Max violation of stationarity, feasibility, and complementary slackness."""
-    if not rho.is_finite:
-        raise ValueError("finite-rho residual requested for non-finite rho")
-    W, s = inst.weights, inst.supply_array
-    feas, comp = _feas_comp(W, s, u, q)
-    Q = W @ q
-    stat = np.max(np.abs(Q * u ** (1.0 - rho.value) - 1.0))
-    return float(max(feas, comp, stat))
-
-
-def _kkt_residual_sum(inst: Instance, u: np.ndarray, q: np.ndarray, utol: float = 1e-9) -> float:
-    W, s = inst.weights, inst.supply_array
-    feas, comp = _feas_comp(W, s, u, q)
-    Q = W @ q
-    stat = np.max(np.where(u > utol, np.abs(Q - 1.0), np.maximum(0.0, 1.0 - Q)))
-    return float(max(feas, comp, stat))
-
-
 def _result(inst: Instance, rho: Rho, u: np.ndarray, q: np.ndarray, residual: float) -> SolveResult:
     x = inst.weights * u[:, None]
     alloc = Allocation.checked(inst, x)
@@ -323,24 +332,11 @@ def solve_ces(
     q0 = _initial_q(W, s, u_fair ** (r - 1.0))
     eta = float(np.clip(0.8 * (1.0 - r), 1e-3, 1.2))
     goal = tol_kkt * 0.5
-    scale = np.maximum(1.0, s)
-
-    def final_residual(q: np.ndarray) -> float:
-        u = _snap_feasible(W, s, model.response(W @ q))
-        if not np.all(np.isfinite(u)):
-            return math.inf
-        return kkt_residual_finite(inst, rho, u, q)
-
-    def separated(q: np.ndarray) -> bool:
-        # Each good must be clearly free (negligible multiplier) or clearly
-        # tight, so downstream price-curve construction can classify it.
-        u = _snap_feasible(W, s, model.response(W @ q))
-        gap = np.abs(s - u @ W)
-        return bool(np.all((q <= TOL_DUAL) | (gap <= tol_kkt * scale)))
 
     def measured(q: np.ndarray) -> float:
-        res = final_residual(q)
-        return res if separated(q) else max(res, 1.0)
+        u = _snap_feasible(W, s, model.response(W @ q))
+        res, separated = _certificate(W, s, rho, u, q, tol_kkt)
+        return res if separated else max(res, 1.0)
 
     used_total = 0
     best: tuple[float, np.ndarray] | None = None
@@ -356,11 +352,11 @@ def solve_ces(
             budget=max_iter - used_total,
         )
         used_total += used
-        res = final_residual(q)
+        u = _snap_feasible(W, s, model.response(W @ q))
+        res, separated = _certificate(W, s, rho, u, q, tol_kkt)
         if best is None or res < best[0]:
             best = (res, q)
-        if res <= tol_kkt and separated(q):
-            u = _snap_feasible(W, s, model.response(W @ q))
+        if res <= tol_kkt and separated:
             return _result(inst, rho, u, q, res)
         if used_total >= max_iter:
             break
@@ -387,15 +383,6 @@ def _solve_sum(inst: Instance, *, tol_kkt: float, max_iter: int) -> SolveResult:
     rho = Rho.one()
     q = _initial_q(W, s, np.full(inst.n, 1.0))
     used_total = 0
-    scale = np.maximum(1.0, s)
-    goal = tol_kkt * 0.5
-
-    def judged(u_c: np.ndarray, q_c: np.ndarray) -> float:
-        res = _kkt_residual_sum(inst, u_c, q_c)
-        gap = np.abs(s - u_c @ W)
-        if not np.all((q_c <= TOL_DUAL) | (gap <= tol_kkt * scale)):
-            res = max(res, 1.0)
-        return res
 
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for eps in _SUM_EPSILONS:
@@ -407,7 +394,8 @@ def _solve_sum(inst: Instance, *, tol_kkt: float, max_iter: int) -> SolveResult:
             u_raw = model.response(W @ q)
             if not np.all(np.isfinite(u_raw)):
                 return math.inf
-            return float(max(_feas_comp(W, s, u_raw, q)))
+            feas, comp, _ = _feas_comp(W, s, u_raw, q)
+            return float(max(feas, comp))
 
         q, used, _ok = _minimize_dual(
             W,
@@ -431,7 +419,8 @@ def _solve_sum(inst: Instance, *, tol_kkt: float, max_iter: int) -> SolveResult:
         candidates.extend(_polish_sum_support(W, s, u_stage, q))
         for u_c, q_c in candidates:
             u_c = _snap_feasible(W, s, u_c)
-            r = judged(u_c, q_c)
+            r, separated = _certificate(W, s, rho, u_c, q_c, tol_kkt)
+            r = r if separated else max(r, 1.0)
             if best is None or r < best[0]:
                 best = (r, u_c, q_c)
 
@@ -535,16 +524,12 @@ def maxmin_gamma(supplies: Sequence[float], sets: Iterable[Iterable[int]]) -> tu
 def solve_maxmin(inst: Instance) -> SolveResult:
     """Maximize the minimum utility; closed form, all utilities equal."""
     W, s = inst.weights, inst.supply_array
+    rho = Rho.maxmin()
     gamma, d = maxmin_gamma(inst.supplies, inst.desired)
     u = np.full(inst.n, gamma)
     q = np.zeros(inst.m)
     j_star = int(np.argmin(s / d))
     q[j_star] = 1.0 / d[j_star]
 
-    feas, comp = _feas_comp(W, s, u, q)
-    stat = abs(float(q @ d) - 1.0)
-    res = float(max(feas, comp, stat))
-
-    x = W * gamma
-    alloc = Allocation.checked(inst, x)
-    return SolveResult(u_star=u, x_star=alloc, q=q, objective=gamma, kkt_residual=res)
+    res, _ = _certificate(W, s, rho, u, q, TOL_KKT)
+    return _result(inst, rho, u, q, res)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import bisect_maxmin, grid_search_welfare, random_instance
 from tradepost import (
+    TOL_DUAL,
+    TOL_KKT,
     Instance,
     NonConvergence,
     Rho,
@@ -254,3 +256,57 @@ class TestObjectiveValues:
         assert truthful_best_utility(-1.0) == pytest.approx(0.449490, abs=1e-6)
         assert truthful_best_utility(0.0) == pytest.approx(0.4, abs=1e-12)
         assert truthful_best_utility(0.9) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+def kkt_oracle(inst, rho, u, q):
+    """Max violation of stationarity, feasibility and complementary slackness.
+
+    Built from the desired sets alone. Stationarity is Q_i u_i^(1-rho) = 1 for
+    finite rho; Q_i = 1 where u_i > 1e-9 and Q_i >= 1 elsewhere for the sum;
+    sum_j q_j d_j = 1 for maxmin, with d_j the number of agents desiring j.
+    """
+    W = np.zeros((inst.n, inst.m))
+    for i, goods in enumerate(inst.desired):
+        W[i, sorted(goods)] = 1.0
+    s = np.array(inst.supplies)
+    scale = np.maximum(1.0, s)
+    demand = u @ W
+    feas = np.max(np.maximum(demand - s, 0.0) / scale)
+    comp = np.max(q * np.abs(s - demand) / scale)
+    Q = W @ q
+    if rho.is_maxmin:
+        stat = abs(q @ W.sum(axis=0) - 1.0)
+    elif rho.is_one:
+        stat = np.max(np.where(u > 1e-9, np.abs(Q - 1.0), np.maximum(0.0, 1.0 - Q)))
+    else:
+        stat = np.max(np.abs(Q * u ** (1.0 - rho.value) - 1.0))
+    return float(max(feas, comp, stat))
+
+
+class TestKktCertificate:
+    """One certificate for every objective family.
+
+    The reported residual is the oracle's, and every positively priced good
+    clears within tolerance: the gate that lets ``pce_to_tp`` read each good
+    as either priced or free.
+    """
+
+    RHOS = (Rho.finite(-2.0), Rho.nash(), Rho.finite(0.5), Rho.one(), Rho.maxmin())
+
+    def test_residual_and_separation(self):
+        rng = np.random.default_rng(29)
+        # At the sum optimum agent 0 gets nothing and is priced out, Q_0 = 2.
+        cases = [Instance([1.0, 1.0], [{0, 1}, {0}, {1}])]
+        cases += [random_instance(rng, n_max=8, m_max=6) for _ in range(30)]
+        for k, inst in enumerate(cases):
+            s = np.array(inst.supplies)
+            for rho in self.RHOS:
+                if rho.is_one and k % 3:
+                    continue  # about 0.1 s a solve, so every third instance
+                res = solve_maxmin(inst) if rho.is_maxmin else solve_ces(inst, rho)
+                oracle = kkt_oracle(inst, rho, res.u_star, res.q)
+                assert res.kkt_residual == pytest.approx(oracle, rel=0, abs=1e-12), (k, rho)
+                assert res.kkt_residual <= TOL_KKT
+                gap = np.abs(s - res.u_star @ inst.weights)
+                priced = res.q > TOL_DUAL
+                assert np.all(gap[priced] <= TOL_KKT * np.maximum(1.0, s[priced])), (k, rho)

@@ -6,6 +6,7 @@ failed in assert mode.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 import numpy as np
@@ -316,8 +317,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "rho", None) is not None:
             args.rho = _parse_rho(args.rho, finite=args.command in _FINITE_RHO_COMMANDS)
-        if args.tol_eq < MIN_TOL or args.tol_kkt < MIN_TOL:
-            raise files.ParseError(f"tolerance overrides must be >= {MIN_TOL}")
+        for flag, tol in (("--tol-eq", args.tol_eq), ("--tol-kkt", args.tol_kkt)):
+            if not (math.isfinite(tol) and tol >= MIN_TOL):
+                raise files.ParseError(f"{flag} must be finite and >= {MIN_TOL}, got {tol}")
+        if getattr(args, "rounds", 1) < 1:
+            raise files.ParseError(f"--rounds must be >= 1, got {args.rounds}")
         return args.func(args)
     except files.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

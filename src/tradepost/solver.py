@@ -2,11 +2,13 @@
 
 The program  max Phi_rho(u)  s.t.  sum_i w_ij u_i <= s_j,  u >= 0  is solved
 directly in utility space: any feasible utility vector is realized by the
-allocation x_ij = w_ij * u_i.  The method is projected dual ascent on the
-per-good multipliers q.  The inner maximization is separable with the closed
-form u_i = (sum_{j in R_i} q_j)^(-1/(1-rho)), which makes the dual smooth and
-convex; a damped projected Newton step then drives the KKT residual far below
-tolerance.  No external optimizer is involved.
+allocation x_ij = w_ij * u_i.  For finite rho < 1 the method is projected dual
+ascent on the per-good multipliers q.  The inner maximization is separable
+with the closed form u_i = (sum_{j in R_i} q_j)^(-1/(1-rho)), which makes the
+dual smooth and convex; a damped projected Newton step then drives the KKT
+residual far below tolerance.  The sum (rho = 1) is a linear program, solved
+by an interior-point method that finds its optimal face and then the
+least-norm point on that face.  Only numpy is involved.
 
 The returned multipliers are normalized so that the budget identity
 sum_{j in R_i} q_j * u_i^(1-rho) = 1 holds for every agent at the solution;
@@ -35,7 +37,7 @@ MAX_ITER = 10**6
 
 
 class NonConvergence(RuntimeError):
-    """The dual iteration did not reach the requested tolerance."""
+    """The solver did not reach the requested tolerance."""
 
     def __init__(self, iterations: int, residual: float):
         self.iterations = iterations
@@ -99,41 +101,12 @@ def _finite_model(r: float, s: np.ndarray) -> _DualModel:
     return _DualModel(response, slope, value)
 
 
-def _quadratic_model(eps: float, s: np.ndarray) -> _DualModel:
-    """Response for the sum objective regularized by -eps * ||u||^2."""
-
-    def response(Q):
-        return np.maximum(0.0, 1.0 - Q) / (2.0 * eps)
-
-    def slope(Q):
-        return np.where(Q < 1.0, -1.0 / (2.0 * eps), 0.0)
-
-    def value(q, Q):
-        return float(np.sum(np.maximum(0.0, 1.0 - Q) ** 2) / (4.0 * eps) + q @ s)
-
-    return _DualModel(response, slope, value)
-
-
-def _feas_comp(
-    W: np.ndarray, s: np.ndarray, u: np.ndarray, q: np.ndarray
-) -> tuple[float, float, np.ndarray]:
-    """Feasibility and complementary-slackness residuals, relative to max(1, s_j).
-
-    Also returns the absolute clearing gaps |s_j - demand_j|.
-    """
-    scale = np.maximum(1.0, s)
-    demand = u @ W
-    gap = np.abs(s - demand)
-    feas = np.max(np.maximum(demand - s, 0.0) / scale)
-    comp = np.max(q * gap / scale)
-    return feas, comp, gap
-
-
 def _certificate(
     W: np.ndarray, s: np.ndarray, rho: Rho, u: np.ndarray, q: np.ndarray, tol: float
 ) -> tuple[float, bool]:
     """Max KKT violation of (u, q) for any objective, and whether goods separate.
 
+    Feasibility and complementary slackness are relative to max(1, s_j).
     Stationarity is Q_i u_i^(1-rho) = 1 for finite rho; for the sum, Q_i = 1
     on supported agents and Q_i >= 1 elsewhere; for maxmin, q . d = 1.  Goods
     separate when each is clearly free (q_j <= TOL_DUAL) or clearly tight
@@ -141,7 +114,11 @@ def _certificate(
     """
     if not np.all(np.isfinite(u)):
         return math.inf, False
-    feas, comp, gap = _feas_comp(W, s, u, q)
+    scale = np.maximum(1.0, s)
+    demand = u @ W
+    gap = np.abs(s - demand)
+    feas = np.max(np.maximum(demand - s, 0.0) / scale)
+    comp = np.max(q * gap / scale)
     if rho.is_maxmin:
         stat = abs(float(q @ W.sum(axis=0)) - 1.0)
     else:
@@ -150,7 +127,7 @@ def _certificate(
             stat = np.max(np.where(u > 1e-9, np.abs(Q - 1.0), np.maximum(0.0, 1.0 - Q)))
         else:
             stat = np.max(np.abs(Q * u ** (1.0 - rho.value) - 1.0))
-    separated = bool(np.all((q <= TOL_DUAL) | (gap <= tol * np.maximum(1.0, s))))
+    separated = bool(np.all((q <= TOL_DUAL) | (gap <= tol * scale)))
     return float(max(feas, comp, stat)), separated
 
 
@@ -173,7 +150,9 @@ def _newton_direction(
     return direction
 
 
-#: Damped-Newton and undamped-polish round limits of :func:`_minimize_dual`.
+#: Multiplicative-warmup, damped-Newton and undamped-polish round limits of
+#: :func:`_minimize_dual`.
+_WARMUP_ROUNDS = 400
 _NEWTON_ROUNDS = 150
 _POLISH_ROUNDS = 12
 
@@ -188,8 +167,7 @@ def _minimize_dual(
     residual: Callable[[np.ndarray], float],
     goal: float,
     budget: int,
-    warmup: int = 400,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int]:
     """Multiplicative ascent, damped projected Newton, then an undamped polish.
 
     ``residual`` must judge the multipliers by the same measure the caller
@@ -202,11 +180,11 @@ def _minimize_dual(
     q = q0.copy()
     used = 0
 
-    # For very flat steps the usual clip bounds overshoot kinked responses;
+    # For very flat steps (rho near 1) the usual clip bounds overshoot;
     # keep the per-iteration movement proportional to the step size.
     lo = max(0.25, 1.0 - 50.0 * eta)
     hi = min(4.0, 1.0 + 50.0 * eta)
-    for it in range(min(warmup, budget)):
+    for it in range(min(_WARMUP_ROUNDS, budget)):
         used += 1
         Q = W @ q
         u = model.response(Q)
@@ -215,7 +193,7 @@ def _minimize_dual(
             continue
         demand = u @ W
         if it % 10 == 0 and residual(q) <= goal:
-            return q, used, True
+            return q, used
         with np.errstate(divide="ignore"):
             ratio = np.clip((demand / s) ** eta, lo, hi)
         q = np.maximum(q * ratio, 0.0)
@@ -227,7 +205,7 @@ def _minimize_dual(
             break
         used += 1
         if residual(q) <= goal:
-            return q, used, True
+            return q, used
         Q = W @ q
         u = model.response(Q)
         if not np.all(np.isfinite(u)):
@@ -275,10 +253,10 @@ def _minimize_dual(
         if r < best_r:
             best_q, best_r = q.copy(), r
 
-    return best_q, used, best_r <= goal
+    return best_q, used
 
 
-def _initial_q(W: np.ndarray, s: np.ndarray, Q_target: np.ndarray) -> np.ndarray:
+def _initial_q(W: np.ndarray, Q_target: np.ndarray) -> np.ndarray:
     sizes = W.sum(axis=1)  # |R_i|
     d = W.sum(axis=0)  # demander counts, >= 1
     contrib = W * (Q_target / sizes)[:, None]
@@ -318,7 +296,8 @@ def solve_ces(
     """Maximize CES welfare for a finite rho (< 1) or the sum objective (rho = 1).
 
     Raises :class:`NonConvergence` when the iteration budget runs out before
-    the KKT residual drops below ``tol_kkt``.
+    the KKT residual drops below ``tol_kkt``; at rho = 1, ``max_iter`` counts
+    interior-point iterations.
     """
     if rho.is_maxmin:
         raise ValueError("use solve_maxmin for the maxmin objective")
@@ -329,7 +308,7 @@ def solve_ces(
     r = rho.value
     model = _finite_model(r, s)
     u_fair = _fair_share(W, s)
-    q0 = _initial_q(W, s, u_fair ** (r - 1.0))
+    q0 = _initial_q(W, u_fair ** (r - 1.0))
     eta = float(np.clip(0.8 * (1.0 - r), 1e-3, 1.2))
     goal = tol_kkt * 0.5
 
@@ -341,15 +320,8 @@ def solve_ces(
     used_total = 0
     best: tuple[float, np.ndarray] | None = None
     for scale0 in (1.0, 0.1, 10.0):
-        q, used, ok = _minimize_dual(
-            W,
-            s,
-            model,
-            q0 * scale0,
-            eta=eta,
-            residual=measured,
-            goal=goal,
-            budget=max_iter - used_total,
+        q, used = _minimize_dual(
+            W, s, model, q0 * scale0, eta=eta, residual=measured, goal=goal, budget=max_iter - used_total
         )
         used_total += used
         u = _snap_feasible(W, s, model.response(W @ q))
@@ -364,144 +336,119 @@ def solve_ces(
     raise NonConvergence(used_total, best[0])
 
 
-#: Continuation schedule for the sum objective: each stage shrinks the
-#: quadratic regularization, warm-starting from the previous multipliers.
-#: Below ~1e-7 the response (1-Q)/(2 eps) could no longer resolve utilities
-#: within float granularity, so the last stage is followed by a direct
-#: support polish instead.
-_SUM_EPSILONS = (5e-2, 1e-3, 1e-5, 1e-7)
+#: Iteration cap of one :func:`_interior_point` call (Mehrotra's method needs
+#: a few dozen at most) and its stopping tolerance.
+_IP_ROUNDS = 100
+_IP_TOL = 1e-12
+
+
+def _interior_point(
+    A: np.ndarray, b: np.ndarray, c: np.ndarray, h: np.ndarray, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Mehrotra predictor-corrector for  min c.x + x.diag(h).x/2  s.t.  Ax = b, x >= 0.
+
+    ``A`` must have full row rank.  Returns the point x, its dual slacks
+    z = c + h x - A^T y, the iterations used, and the residual: the larger of
+    x.z / len(x) and the primal and dual residuals relative to 1 + |b|.  The
+    iterates approach a strictly complementary solution (Güler & Ye, Math.
+    Programming 60, 1993), so x > z marks the coordinates that are positive on
+    the optimal face.
+    """
+    cols = A.shape[1]
+    scale = 1.0 + np.abs(b).max()
+    rounds = min(max(max_iter, 0), _IP_ROUNDS)
+    # Mehrotra's starting point: least-norm x and least-squares y, shifted inside.
+    AAt = A @ A.T
+    y = np.linalg.solve(AAt, A @ c)
+    x, z = A.T @ np.linalg.solve(AAt, b), c - A.T @ y
+    x += max(-1.5 * x.min(), 0.0) + 1e-2
+    z += max(-1.5 * z.min(), 0.0) + 1e-2
+    xz = x @ z
+    x, z = x + 0.5 * xz / z.sum(), z + 0.5 * xz / x.sum()
+
+    def max_step(v: np.ndarray, dv: np.ndarray) -> float:
+        with np.errstate(divide="ignore", over="ignore"):
+            return float(np.min(np.where(dv < 0, -v / dv, 1.0), initial=1.0))
+
+    for used in range(rounds + 1):
+        rp, rd, mu = b - A @ x, c + h * x - A.T @ y - z, x @ z / cols
+        residual = max(mu, max(np.abs(rp).max(), np.abs(rd).max()) / scale)
+        if residual <= _IP_TOL or used == rounds:
+            break
+        # Newton step on Ax = b, A^T y + z - h x = c, x z = target, reduced to
+        # the normal equations A D A^T dy = rhs with D = (h + z/x)^-1.
+        d = 1.0 / (h + z / x)
+        M = (A * d) @ A.T
+        try:
+            L = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:  # numerically singular on a degenerate face
+            L = None
+
+        def direction(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            rhs = rp + A @ (d * (rd - target / x))
+            if L is None:
+                dy = np.linalg.lstsq(M, rhs, rcond=None)[0]
+            else:
+                dy = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+            dx = d * (A.T @ dy - rd + target / x)
+            return dx, dy, (target - z * dx) / x
+
+        dx, dy, dz = direction(-x * z)  # affine predictor
+        alpha = min(max_step(x, dx), max_step(z, dz))
+        sigma = ((x + alpha * dx) @ (z + alpha * dz) / cols / mu) ** 3
+        dx, dy, dz = direction(sigma * mu - x * z - dx * dz)  # centered corrector
+        # Stop short of the boundary: at 0.99 the least-norm iterates can cycle.
+        alpha = min(1.0, 0.95 * min(max_step(x, dx), max_step(z, dz)))
+        x, y, z = x + alpha * dx, y + alpha * dy, z + alpha * dz
+    return x, z, used, float(residual)
 
 
 def _solve_sum(inst: Instance, *, tol_kkt: float, max_iter: int) -> SolveResult:
-    """Sum of utilities via vanishing quadratic regularization.
+    """Sum of utilities: the LP's optimal face, then its least-norm point.
 
-    The regularized objective sum(u_i - eps u_i^2) keeps the dual smooth and,
-    as eps -> 0, its maximizer converges to the minimum-norm point of the
-    optimal face -- the tie-break toward equal utilities.
+    The first interior-point call solves the LP  max sum(u)  s.t.
+    W^T u + slack = s,  whose dual slacks are Q_i - 1 for agents and q_j for
+    goods.  It gives the optimal partition (agent i is supported when
+    u_i > Q_i - 1, good j is tight when q_j > slack_j) and the reported
+    multipliers: its q, with entries at or below TOL_DUAL set to 0.  The
+    second call minimizes ||u||^2 / 2 over that face, with the tight goods as
+    equality rows.  This least-norm optimum is the tie-break toward equal
+    utilities (Friedlander & Tseng, SIAM J. Optim. 18, 2007).  An exact
+    least-squares solve on its active set finishes the point.
     """
     W, s = inst.weights, inst.supply_array
-    rho = Rho.one()
-    q = _initial_q(W, s, np.full(inst.n, 1.0))
-    used_total = 0
+    n, m = W.shape
+    c = np.concatenate([-np.ones(n), np.zeros(m)])
+    x, z, used, res = _interior_point(np.hstack([W.T, np.eye(m)]), s, c, np.zeros(n + m), max_iter)
+    if res > _IP_TOL:
+        raise NonConvergence(used, res)
+    q = np.where(z[n:] > TOL_DUAL, z[n:], 0.0)
+    S = np.flatnonzero(x[:n] > z[:n])
+    T, N = np.flatnonzero(z[n:] > x[n:]), np.flatnonzero(z[n:] <= x[n:])
 
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for eps in _SUM_EPSILONS:
-        model = _quadratic_model(eps, s)
+    # The tight rows W_ST^T u_S = s_T are often dependent: keep an orthonormal
+    # basis of their row space, so that the equality rows have full rank.
+    U, sv, Vt = np.linalg.svd(W[np.ix_(S, T)].T, full_matrices=False)
+    rank = int(np.sum(sv > sv[0] * max(len(S), len(T)) * np.finfo(float).eps))
+    A = np.block([[Vt[:rank], np.zeros((rank, len(N)))], [W[np.ix_(S, N)].T, np.eye(len(N))]])
+    b = np.concatenate([U[:, :rank].T @ s[T] / sv[:rank], s[N]])
+    h = np.concatenate([np.ones(len(S)), np.zeros(len(N))])
+    x, z, more, res = _interior_point(A, b, np.zeros(len(h)), h, max_iter - used)
+    used += more
+    if res > _IP_TOL:
+        raise NonConvergence(used, res)
 
-        def stage_residual(q: np.ndarray, model=model) -> float:
-            # Judge the raw response: snapping would hide infeasibility
-            # behind an exactly-cleared good.
-            u_raw = model.response(W @ q)
-            if not np.all(np.isfinite(u_raw)):
-                return math.inf
-            feas, comp, _ = _feas_comp(W, s, u_raw, q)
-            return float(max(feas, comp))
-
-        q, used, _ok = _minimize_dual(
-            W,
-            s,
-            model,
-            q,
-            eta=min(0.5, 2.0 * eps / max(1.0, float(s.max()))),
-            residual=stage_residual,
-            goal=1e-9,
-            budget=max(2000, (max_iter - used_total)),
-            warmup=600,
-        )
-        used_total += used
-
-        # Judge this stage's point plus its exact-support refinements; the
-        # refinements do not perturb the continuation itself.
-        u_stage = _snap_feasible(W, s, model.response(W @ q))
-        cleaned = q.copy()
-        cleaned[cleaned <= TOL_DUAL] = 0.0
-        candidates = [(u_stage, cleaned)]
-        candidates.extend(_polish_sum_support(W, s, u_stage, q))
-        for u_c, q_c in candidates:
-            u_c = _snap_feasible(W, s, u_c)
-            r, separated = _certificate(W, s, rho, u_c, q_c, tol_kkt)
-            r = r if separated else max(r, 1.0)
-            if best is None or r < best[0]:
-                best = (r, u_c, q_c)
-
-    assert best is not None
-    if best[0] > tol_kkt:
-        raise NonConvergence(used_total, best[0])
-    return _result(inst, rho, best[1], best[2], best[0])
-
-
-def _polish_sum_support(
-    W: np.ndarray, s: np.ndarray, u: np.ndarray, q: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Candidate refinements of an approximate sum-objective solution.
-
-    The regularized path locates the supports but cannot resolve the last few
-    digits.  On the supports the optimality system is linear: multipliers on
-    tight goods must give every supported agent a unit sum, and supported
-    agents' demand must clear every positively-priced good.  Both parts are
-    solved by least squares (dropping goods whose multiplier comes out
-    negative) and returned as candidates for the caller to judge; nothing
-    here is trusted blindly.
-    """
-    scale = np.maximum(1.0, s)
-    supported = u > 1e-5 * max(1.0, float(u.max()) if u.size else 1.0)
-    tight = np.abs(s - u @ W) <= 1e-4 * scale
-    if not supported.any() or not tight.any():
-        return []
-
-    cleaned = q.copy()
-    cleaned[cleaned <= TOL_DUAL] = 0.0
-    duals: list[np.ndarray] = []
-
-    # Preferred dual: the minimal correction to the continuation's own
-    # multipliers that restores exact unit sums for supported agents.  The
-    # correction is tiny (the regularization bias), so dual feasibility for
-    # unsupported agents is preserved up to that same tiny amount.
-    priced = cleaned > 0
-    if priced.any():
-        A = W[np.ix_(supported, priced)]
-        defect = 1.0 - A @ cleaned[priced]
-        delta, *_ = np.linalg.lstsq(A, defect, rcond=None)
-        q_corr = cleaned.copy()
-        q_corr[priced] = np.maximum(cleaned[priced] + delta, 0.0)
-        duals.append(q_corr)
-
-    # Fallback dual: solved from scratch on the tight goods; drop goods
-    # driven negative and re-solve.
-    keep = tight.copy()
-    for _ in range(int(tight.sum())):
-        if not keep.any():
-            break
-        A = W[np.ix_(supported, keep)]
-        sol, *_ = np.linalg.lstsq(A, np.ones(int(supported.sum())), rcond=None)
-        if np.all(sol >= -1e-12):
-            q_pol = np.zeros_like(q)
-            q_pol[keep] = np.maximum(sol, 0.0)
-            duals.append(q_pol)
-            break
-        drop = np.where(keep)[0][sol < -1e-12]
-        keep[drop] = False
-
-    candidates: list[tuple[np.ndarray, np.ndarray]] = []
-    duals.append(cleaned)
-
-    for q_c in duals:
-        priced = q_c > 0
-        u_c = u.copy()
-        if priced.any():
-            # Primal side: project supported utilities onto exact clearing of
-            # the priced goods, preserving the tie-broken point.
-            C = W[np.ix_(supported, priced)].T  # one row per priced good
-            target = s[priced] - (u * ~supported) @ W[:, priced]
-            defect = target - C @ u[supported]
-            lam, *_ = np.linalg.lstsq(C @ C.T, defect, rcond=None)
-            cand = u[supported] + C.T @ lam
-            if np.all(cand >= 0):
-                u_c = u.copy()
-                u_c[supported] = cand
-        candidates.append((u_c, q_c))
-        candidates.append((u, q_c))
-    return candidates
+    # Active set of the least-norm point: the agents of S it leaves positive,
+    # and the goods of T plus those of N it clears exactly.
+    F = S[x[: len(S)] > z[: len(S)]]
+    rows = np.concatenate([T, N[z[len(S) :] > x[len(S) :]]])
+    u = np.zeros(n)
+    u[F] = np.linalg.lstsq(W[np.ix_(F, rows)].T, s[rows], rcond=None)[0]
+    u = _snap_feasible(W, s, np.maximum(u, 0.0))
+    res, separated = _certificate(W, s, Rho.one(), u, q, tol_kkt)
+    if res > tol_kkt or not separated:
+        raise NonConvergence(used, res if separated else max(res, 1.0))
+    return _result(inst, Rho.one(), u, q, res)
 
 
 def maxmin_gamma(supplies: Sequence[float], sets: Iterable[Iterable[int]]) -> tuple[float, np.ndarray]:

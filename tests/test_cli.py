@@ -1,17 +1,25 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tradepost
 from tradepost import CurveFamily, Rho, construct_atp_rho_equilibrium, five_by_seven_instance
 from tradepost import cli as cli_module
 from tradepost import equilibrium as equilibrium_module
 from tradepost.cli import EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from tradepost.files import load_instance, save_instance
 
-SIX_BY_FOUR = str(Path(__file__).parent / "golden" / "inputs" / "six_by_four.json")
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+SIX_BY_FOUR = str(GOLDEN_INPUTS / "six_by_four.json")
+GOLDEN_BETA = str(GOLDEN_INPUTS / "beta_good.json")
+GOLDEN_PERTURBED = str(GOLDEN_INPUTS / "bids_perturbed.json")
+GOLDEN_FIVE_BY_SEVEN = str(GOLDEN_INPUTS / "five_by_seven.json")
 
 
 @pytest.fixture()
@@ -352,6 +360,24 @@ class TestConfigValidation:
     def test_tolerance_floor(self, shared_good_path):
         assert main(["solve", "--rho", "-1", "--tol-eq", "1e-13", shared_good_path]) == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (
+                ["verify", "--curves", "atp_rho:-1", "--bids", GOLDEN_PERTURBED, "--assert"]
+                + ["--tol-eq", "nan", GOLDEN_BETA],
+                "--tol-eq",
+            ),
+            (["solve", "--rho", "1", "--tol-kkt", "nan", SIX_BY_FOUR], "--tol-kkt"),
+            (["solve", "--rho", "1", "--tol-kkt", "inf", SIX_BY_FOUR], "--tol-kkt"),
+            (["dynamics", "--rho", "0", "--rounds", "-3", SIX_BY_FOUR], "--rounds"),
+            (["dynamics", "--rho", "0", "--rounds", "0", SIX_BY_FOUR], "--rounds"),
+        ],
+    )
+    def test_rejects_nonfinite_tolerances_and_empty_rounds(self, argv, flag, capsys):
+        assert main(argv) == EXIT_PARSE
+        assert flag in capsys.readouterr().err
+
     def test_dynamics_rejects_rho_one(self, shared_good_path):
         assert main(["dynamics", "--rho", "1", shared_good_path]) == EXIT_PARSE
 
@@ -364,6 +390,24 @@ class TestConfigValidation:
 
         monkeypatch.setattr(cli_module, "solve_ces", boom)
         assert main(["solve", "--rho", "-1", shared_good_path]) == 3
+
+
+class TestNumpyOnly:
+    def test_rho_one_solve_loads_no_scipy(self, tmp_path):
+        # On a 2-core machine, importing scipy.optimize added about 0.5 s and
+        # 50 MB of RSS to a CLI process; the solver needs numpy only.
+        out = tmp_path / "out.json"
+        code = (
+            "import sys\n"
+            "from tradepost.cli import main\n"
+            f"assert main(['solve', '--rho', '1', {GOLDEN_FIVE_BY_SEVEN!r}, '-o', {str(out)!r}]) == 0\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(tradepost.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert run.stdout.strip() == "[]"
+        assert read(out)["command"] == "solve"
 
 
 class TestDeterminism:

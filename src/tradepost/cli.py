@@ -322,6 +322,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise files.ParseError(f"{flag} must be finite and >= {MIN_TOL}, got {tol}")
         if getattr(args, "rounds", 1) < 1:
             raise files.ParseError(f"--rounds must be >= 1, got {args.rounds}")
+        move_tol = getattr(args, "move_tol", 0.0)
+        if not (math.isfinite(move_tol) and move_tol >= 0):
+            raise files.ParseError(f"--move-tol must be finite and >= 0, got {move_tol}")
         return args.func(args)
     except files.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

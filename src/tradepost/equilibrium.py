@@ -25,6 +25,7 @@ from .trading_post import (
     CurveFamily,
     PowerCurve,
     _bid_row,
+    _require_goods,
     _row_utility,
     atp_allocate,
     best_response,
@@ -79,44 +80,30 @@ def verify_tp_ne(
     supply of every good she values can be stable without exhausting her
     budget, and such profiles are the caller's responsibility to avoid.
     """
-    f.require_constraint_curves()
     x = atp_allocate(inst, f, bids)
-    s = inst.supply_array
-    scale = np.maximum(1.0, s)
-    u = utilities(inst, x)
-
-    report: NeReport | None = None
-    target = inst.weights * u[:, None]
-    priced = bids.amounts.sum(axis=0) > 0
-    err = np.abs(x.x - target) / scale[None, :]
-    err[:, ~priced] = 0.0
-    worst = np.unravel_index(np.argmax(err), err.shape)
-    if err[worst] > tol:
-        i, j = int(worst[0]), int(worst[1])
+    i, j, expected, gap = _worst_share(inst, x, bids.amounts.sum(axis=0) > 0)
+    costs = f.cost_rows(bids.amounts)
+    gaps = np.abs(costs - 1.0)
+    k = int(np.argmax(gaps))
+    if gap > tol:
         report = NeReport(
             False,
             violated_condition=(
                 f"condition 1: agent {i} holds {float(x.x[i, j])!r} of good {j}, "
-                f"expected {float(target[i, j])!r} (gap {err[worst]:.3e})"
+                f"expected {expected!r} (gap {gap:.3e})"
             ),
         )
-
-    if report is None:
-        costs = f.cost_rows(bids.amounts)
-        gaps = np.abs(costs - 1.0)
-        i = int(np.argmax(gaps))
-        if gaps[i] > tol:
-            report = NeReport(
-                False,
-                violated_condition=f"condition 2: agent {i} bid cost {float(costs[i])!r} != 1",
-            )
-
-    if report is None:
+    elif gaps[k] > tol:
+        report = NeReport(
+            False,
+            violated_condition=f"condition 2: agent {k} bid cost {float(costs[k])!r} != 1",
+        )
+    else:
         report = NeReport(True)
 
     if deviation_check:
         gain, witness = deviation_sweep(inst, f, bids, rng=rng)
-        found = gain > tol * max(1.0, float(s.max()))
+        found = gain > tol * max(1.0, float(inst.supply_array.max()))
         if found == report.is_ne:
             raise RuntimeError(
                 "internal error: equilibrium conditions and deviation oracle disagree "
@@ -126,6 +113,15 @@ def verify_tp_ne(
             report = NeReport(False, report.violated_condition, witness)
 
     return report
+
+
+def _worst_share(inst: Instance, x: Allocation, priced: np.ndarray) -> tuple[int, int, float, float]:
+    """Condition 1's worst priced cell: (agent, good, expected share, gap scaled by max(1, s_j))."""
+    target = inst.weights * utilities(inst, x)[:, None]
+    err = np.abs(x.x - target) / np.maximum(1.0, inst.supply_array)[None, :]
+    err[:, ~priced] = 0.0
+    i, j = map(int, np.unravel_index(np.argmax(err), err.shape))
+    return i, j, float(target[i, j]), float(err[i, j])
 
 
 def deviation_sweep(
@@ -177,12 +173,9 @@ def _random_row(
             amounts[j] = rng.uniform(0.01, 1.0)
     cost = f.cost_rows(amounts[None, :])[0]
     if cost > 0:
-        budget = rng.uniform(0.3, 1.0)
-        degrees = f.degrees
-        for j in desired:
-            if amounts[j] > 0:
-                # Scale each term so the row cost lands on `budget`.
-                amounts[j] *= (budget / cost) ** (1.0 / degrees[j])
+        # Scale each term so the row cost lands on a random budget.
+        pos = amounts > 0
+        amounts[pos] *= np.float_power(rng.uniform(0.3, 1.0) / cost, 1.0 / f.degrees[pos])
     return amounts, beta
 
 
@@ -194,24 +187,19 @@ def verify_pce(
     tol: float = TOL_EQ,
 ) -> PceReport:
     """Check demand-set membership, exhausted budgets, and market clearing."""
+    _require_goods(g, inst.m)
     if x.x.shape != (inst.n, inst.m):
         raise ValueError("allocation shape mismatch")
     s = inst.supply_array
     scale = np.maximum(1.0, s)
-    u = utilities(inst, x)
-    nonzero = np.array([not c.is_zero for c in g])
-
-    target = inst.weights * u[:, None]
-    err = np.abs(x.x - target) / scale[None, :]
-    err[:, ~nonzero] = 0.0
-    worst = np.unravel_index(np.argmax(err), err.shape)
-    if err[worst] > tol:
-        i, j = int(worst[0]), int(worst[1])
+    nonzero = g.coeffs != 0
+    i, j, expected, gap = _worst_share(inst, x, nonzero)
+    if gap > tol:
         return PceReport(
             False,
             violated_condition=(
                 f"condition 1: agent {i} buys {float(x.x[i, j])!r} of good {j}, "
-                f"expected {float(target[i, j])!r}"
+                f"expected {expected!r}"
             ),
         )
 
@@ -260,17 +248,11 @@ def tp_to_pce(
     report = verify_tp_ne(inst, f, bids, tol=tol)
     if not report.is_ne:
         raise NotAnEquilibrium(f"bid profile is not an equilibrium: {report.violated_condition}")
-    s = inst.supply_array
     col = bids.amounts.sum(axis=0)
-    curves = []
-    for j, curve in enumerate(f):
-        if col[j] > 0:
-            a_j = (col[j] / s[j]) ** curve.degree
-            curves.append(curve.scaled(a_j))
-        else:
-            curves.append(PowerCurve(0.0, curve.degree))
+    # float_power rounds as libm's pow does; np.power's SIMD loop can differ in the last bit.
+    coeffs = np.where(col > 0, f.coeffs * np.float_power(col / inst.supply_array, f.degrees), 0.0)
     x = atp_allocate(inst, f, bids)
-    return x, CurveFamily(curves)
+    return x, CurveFamily._from_arrays(coeffs, f.degrees)
 
 
 def pce_to_tp(
@@ -295,11 +277,13 @@ def pce_to_tp(
     if h.is_zero:
         raise ValueError("fallback constraint curve must be strictly increasing")
 
-    zero_priced = np.array([c.is_zero for c in g])
-    curves = [h if zero else c for zero, c in zip(zero_priced, g)]
+    zero_priced = g.coeffs == 0
+    f = CurveFamily._from_arrays(
+        np.where(zero_priced, h.coeff, g.coeffs), np.where(zero_priced, h.degree, g.degrees)
+    )
     beta = zero_priced[None, :] & (inst.weights > 0)
     amounts = np.where(zero_priced[None, :], 0.0, x.x)
-    return CurveFamily(curves), BidMatrix(amounts, beta)
+    return f, BidMatrix(amounts, beta)
 
 
 def scale_curves(f: CurveFamily, a: Sequence[float]) -> CurveFamily:
@@ -307,9 +291,9 @@ def scale_curves(f: CurveFamily, a: Sequence[float]) -> CurveFamily:
     a = np.asarray(a, dtype=float)
     if a.shape != (f.m,):
         raise ValueError(f"expected {f.m} scalars")
-    if np.any(a <= 0) or not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(a) & (a > 0)):
         raise ValueError("curve scalars must be positive and finite")
-    return CurveFamily(c.scaled(float(a_j)) for c, a_j in zip(f, a))
+    return CurveFamily._from_arrays(f.coeffs * a, f.degrees)
 
 
 def transform_bids(bids: BidMatrix, a: Sequence[float], degrees: Sequence[float]) -> BidMatrix:
@@ -322,8 +306,8 @@ def transform_bids(bids: BidMatrix, a: Sequence[float], degrees: Sequence[float]
     degrees = np.asarray(degrees, dtype=float)
     if a.shape != (bids.m,) or degrees.shape != (bids.m,):
         raise ValueError("need one scalar and one degree per good")
-    if np.any(a <= 0) or np.any(degrees <= 0):
-        raise ValueError("scalars and degrees must be positive")
+    if not np.all(np.isfinite(a) & (a > 0) & np.isfinite(degrees) & (degrees > 0)):
+        raise ValueError("scalars and degrees must be positive and finite")
     factors = a ** (-1.0 / degrees)
     amounts = bids.amounts * factors[None, :]
     return BidMatrix(amounts, bids.beta)
@@ -350,7 +334,7 @@ def construct_atp_rho_equilibrium(
     one_minus = 1.0 - rho.value
     q = np.where(result.q > TOL_DUAL, result.q, 0.0)
 
-    g = CurveFamily(PowerCurve(float(qj), one_minus) for qj in q)
+    g = CurveFamily._from_arrays(q, np.full(inst.m, one_minus))
     h = PowerCurve(1.0, one_minus)
     f, b = pce_to_tp(inst, g, result.x_star, h, tol=tol)
 

@@ -126,7 +126,7 @@ def load_curves(path: str | Path) -> CurveFamily:
 
 
 def curves_to_lists(f: CurveFamily) -> list[list[float]]:
-    return [[c.coeff, c.degree] for c in f]
+    return np.stack([f.coeffs, f.degrees], axis=1).tolist()
 
 
 def parse_curve_spec(spec: str, m: int) -> CurveFamily:

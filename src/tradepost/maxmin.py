@@ -185,6 +185,8 @@ def demo_bad_ne_m1(n: int, *, tol: float = TOL_EQ) -> dict:
     """
     if n < 2:
         raise ValueError("need at least two agents")
+    if n > MAX_EXHAUSTIVE_GOODS:
+        raise ValueError(f"exhaustive search limited to {MAX_EXHAUSTIVE_GOODS} goods")
     supplies = [1.0] * n
     true_sets = [frozenset({i}) for i in range(n)]
     everything = frozenset(range(n))

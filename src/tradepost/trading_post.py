@@ -187,6 +187,16 @@ class BidMatrix:
         return bool(np.array_equal(self.amounts, other.amounts) and np.array_equal(self.beta, other.beta))
 
 
+def _check_curves(coeffs: np.ndarray, degrees: np.ndarray) -> None:
+    """The one validity rule for curves: coefficients finite and >= 0, degrees finite and > 0."""
+    bad = ~(np.isfinite(coeffs) & (coeffs >= 0))
+    if bad.any():
+        raise ValueError(f"coefficient must be finite and nonnegative, got {coeffs[bad][0]}")
+    bad = ~(np.isfinite(degrees) & (degrees > 0))
+    if bad.any():
+        raise ValueError(f"degree must be positive, got {degrees[bad][0]}")
+
+
 @dataclass(frozen=True)
 class PowerCurve:
     """The map t -> coeff * t**degree on nonnegative reals.
@@ -200,10 +210,7 @@ class PowerCurve:
     degree: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.coeff) or self.coeff < 0:
-            raise ValueError(f"coefficient must be finite and nonnegative, got {self.coeff}")
-        if not math.isfinite(self.degree) or self.degree <= 0:
-            raise ValueError(f"degree must be positive, got {self.degree}")
+        _check_curves(np.array([self.coeff]), np.array([self.degree]))
 
     def __call__(self, t: float) -> float:
         if t < 0:
@@ -216,53 +223,56 @@ class PowerCurve:
     def is_zero(self) -> bool:
         return self.coeff == 0.0
 
-    def scaled(self, a: float) -> "PowerCurve":
-        return PowerCurve(self.coeff * a, self.degree)
-
 
 class CurveFamily:
-    """Per-good power curves; doubles as constraint curves and price curves."""
+    """Per-good power curves, held as read-only ``coeffs`` and ``degrees`` arrays; ``f[j]`` is a view."""
 
-    __slots__ = ("curves",)
+    __slots__ = ("coeffs", "degrees")
 
     def __init__(self, curves: Iterable[PowerCurve]):
-        self.curves = tuple(curves)
-        if not self.curves:
+        pairs = np.array([(c.coeff, c.degree) for c in curves], dtype=float).reshape(-1, 2)
+        self._set(pairs[:, 0], pairs[:, 1])
+
+    @classmethod
+    def _from_arrays(cls, coeffs: np.ndarray, degrees: np.ndarray) -> "CurveFamily":
+        family = cls.__new__(cls)
+        family._set(coeffs, degrees)
+        return family
+
+    def _set(self, coeffs: np.ndarray, degrees: np.ndarray) -> None:
+        coeffs, degrees = np.array(coeffs, dtype=float), np.array(degrees, dtype=float)
+        if coeffs.size == 0:
             raise ValueError("curve family cannot be empty")
+        _check_curves(coeffs, degrees)
+        coeffs.setflags(write=False)
+        degrees.setflags(write=False)
+        self.coeffs, self.degrees = coeffs, degrees
 
     @classmethod
     def atp(cls, rho_value: float, m: int) -> "CurveFamily":
         """Unit curves t -> t**(1-rho) on every good."""
         if rho_value >= 1:
             raise ValueError("unit power curves require rho < 1")
-        return cls(PowerCurve(1.0, 1.0 - rho_value) for _ in range(m))
+        return cls._from_arrays(np.ones(m), np.full(m, 1.0 - rho_value))
 
     @classmethod
     def linear(cls, m: int) -> "CurveFamily":
-        return cls(PowerCurve(1.0, 1.0) for _ in range(m))
+        return cls._from_arrays(np.ones(m), np.ones(m))
 
     @property
     def m(self) -> int:
-        return len(self.curves)
+        return len(self.coeffs)
 
     def __getitem__(self, j: int) -> PowerCurve:
-        return self.curves[j]
+        return PowerCurve(float(self.coeffs[j]), float(self.degrees[j]))
 
     def __iter__(self):
-        return iter(self.curves)
+        return map(PowerCurve, self.coeffs.tolist(), self.degrees.tolist())
 
     def require_constraint_curves(self) -> None:
-        for j, c in enumerate(self.curves):
-            if c.is_zero:
-                raise ValueError(f"constraint curve for good {j} must be strictly increasing")
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return np.array([c.coeff for c in self.curves])
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.array([c.degree for c in self.curves])
+        zero = self.coeffs == 0
+        if zero.any():
+            raise ValueError(f"constraint curve for good {zero.argmax()} must be strictly increasing")
 
     def cost(self, quantities: Sequence[float]) -> float:
         """Summed curve cost of a nonnegative per-good vector."""
@@ -271,13 +281,18 @@ class CurveFamily:
             raise ValueError(f"expected {self.m} entries")
         if np.any(v < 0):
             raise ValueError("quantities must be nonnegative")
-        return float(np.sum(self.coeffs * np.where(v > 0, v, 0.0) ** self.degrees))
+        return float(self.cost_rows(v[None, :])[0])
 
     def cost_rows(self, amounts: np.ndarray) -> np.ndarray:
         """Row-wise cost of an amounts matrix (zeros cost nothing)."""
-        safe = np.where(amounts > 0, amounts, 1.0)
-        terms = np.where(amounts > 0, self.coeffs * safe**self.degrees, 0.0)
+        pos = amounts > 0
+        terms = np.where(pos, self.coeffs * np.where(pos, amounts, 1.0) ** self.degrees, 0.0)
         return terms.sum(axis=1)
+
+
+def _require_goods(f: CurveFamily, m: int) -> None:
+    if f.m != m:
+        raise ValueError(f"curve family has {f.m} curves, instance has {m} goods")
 
 
 def bid_cost(f: CurveFamily, bids: Sequence[Bid]) -> float:
@@ -285,7 +300,7 @@ def bid_cost(f: CurveFamily, bids: Sequence[Bid]) -> float:
     f.require_constraint_curves()
     if len(bids) != f.m:
         raise ValueError(f"expected {f.m} bids")
-    return _row_cost(f, [b.amount for b in bids])
+    return float(f.cost_rows(np.array([[b.amount for b in bids]]))[0])
 
 
 def _is_beta(token: str) -> bool:
@@ -308,11 +323,6 @@ def _parse_row(i: int, raw: object, m: int) -> tuple[list[float], list[bool]]:
         else:
             raise ValueError(f"bids[{i}][{j}]: expected a number or \"beta\", got {cell!r}")
     return row, mask
-
-
-def _row_cost(f: CurveFamily, amounts: Sequence[float]) -> float:
-    """Budget cost of one row of amounts; zero amounts cost nothing."""
-    return float(sum(f[j](a) for j, a in enumerate(amounts) if a > 0))
 
 
 #: Relative width of the boundary band in which step-2 claims are trimmed to
@@ -397,6 +407,7 @@ def atp_allocate(
     claims exceed the supply.
     """
     f.require_constraint_curves()
+    _require_goods(f, inst.m)
     if bids.n != inst.n or bids.m != inst.m:
         raise ValueError(f"bid matrix shape ({bids.n}, {bids.m}) != ({inst.n}, {inst.m})")
     if check_budgets:
@@ -407,12 +418,6 @@ def atp_allocate(
 
     x, _ = _run_allocation_rule(inst, bids.amounts, bids.beta, tol_feas)
     return Allocation.checked(inst, x, tol=tol_feas)
-
-
-def _others_positive(bids: BidMatrix, i: int) -> np.ndarray:
-    other = bids.amounts.copy()
-    other[i, :] = 0.0
-    return other.sum(axis=0)
 
 
 def best_response(
@@ -433,15 +438,20 @@ def best_response(
     supply there, so the smallest valid bid is cost-optimal).
     """
     f.require_constraint_curves()
+    _require_goods(f, inst.m)
     if not 0 <= i < inst.n:
         raise IndexError(f"agent index {i} out of range")
     s = inst.supply_array
     desired = sorted(inst.desired[i])
-    B = _others_positive(bids, i)
+    # One working copy: row i zeroed gives the opponents' totals, then holds each candidate row.
+    trial_amounts, trial_beta = bids.amounts.copy(), bids.beta.copy()
+    trial_amounts[i] = 0.0
+    B = trial_amounts.sum(axis=0)
     paid = [j for j in desired if B[j] > 0]
     free = [j for j in desired if B[j] == 0]
     # Python floats per paid good: the bisection evaluates these ~30 times.
-    paid_terms = [(float(B[j]), float(s[j]), f[j].coeff, f[j].degree) for j in paid]
+    coeffs, degrees = f.coeffs.tolist(), f.degrees.tolist()
+    paid_terms = [(float(B[j]), float(s[j]), coeffs[j], degrees[j]) for j in paid]
 
     cap = float(min(s[j] for j in desired))
     hi = cap * (1.0 - 1e-12)
@@ -473,9 +483,6 @@ def best_response(
             total += coeff * (t * B_j / (s_j - t)) ** degree
         return total + fixed
 
-    # Candidate rows are written into row i of one working copy.
-    trial_amounts, trial_beta = bids.amounts.copy(), bids.beta.copy()
-
     def evaluate(row: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray | None]:
         trial_amounts[i], trial_beta[i] = row
         return _row_utility(inst, trial_amounts, trial_beta, i)
@@ -483,16 +490,16 @@ def best_response(
     best_row = (np.zeros(inst.m), np.zeros(inst.m, dtype=bool))
     best_util = 0.0
     incumbent_row = (bids.amounts[i], bids.beta[i])
-    if _row_cost(f, incumbent_row[0].tolist()) <= 1.0 + TOL_FEAS:
+    if f.cost_rows(bids.amounts[i : i + 1])[0] <= 1.0 + TOL_FEAS:
         best_row = incumbent_row
         best_util, _ = evaluate(incumbent_row)
 
     forced: set[int] = set()
     for _ in range(len(free) + 1):
         # The minimal positive bids cost the same whatever the target.
-        fixed = sum(f[j](_MIN_POSITIVE) for j in forced)
+        fixed = sum(coeffs[j] * _MIN_POSITIVE ** degrees[j] for j in forced)
         if free and not paid and not forced:
-            fixed += f[free[0]](_MIN_POSITIVE)
+            fixed += coeffs[free[0]] * _MIN_POSITIVE ** degrees[free[0]]
         if fixed > 1.0 + TOL_FEAS:
             break
         lo, t_hi = 0.0, hi

@@ -378,6 +378,22 @@ class TestConfigValidation:
         assert main(argv) == EXIT_PARSE
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("move_tol", ["nan", "-1"])
+    def test_dynamics_rejects_bad_move_tol(self, move_tol, capsys):
+        argv = ["dynamics", "--rho", "0", "--move-tol", move_tol, SIX_BY_FOUR]
+        assert main(argv) == EXIT_PARSE
+        assert "--move-tol" in capsys.readouterr().err
+
+    def test_demos_bad_ne_rejects_large_n(self, capsys, monkeypatch):
+        from tradepost import maxmin
+
+        def enumerated(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(maxmin, "_all_subsets", enumerated)
+        assert main(["demos", "bad-ne", "--n", str(maxmin.MAX_EXHAUSTIVE_GOODS + 1)]) == EXIT_PARSE
+        assert "exhaustive search limited" in capsys.readouterr().err
+
     def test_dynamics_rejects_rho_one(self, shared_good_path):
         assert main(["dynamics", "--rho", "1", shared_good_path]) == EXIT_PARSE
 

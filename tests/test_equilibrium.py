@@ -210,6 +210,27 @@ class TestPceToTp:
             assert np.allclose(utilities(inst, x2), utilities(inst, x), atol=1e-9)
 
 
+class TestFamilySize:
+    @pytest.mark.parametrize("curves", [1, 3])
+    def test_wrong_curve_count_rejected(self, curves):
+        inst = Instance([1.0, 2.0], [{0, 1}, {1}])
+        f = CurveFamily.linear(curves)
+        bids = BidMatrix(np.array([[0.5, 0.5], [0.0, 1.0]]), np.zeros((2, 2), dtype=bool))
+        message = f"curve family has {curves} curves, instance has 2 goods"
+        calls = [
+            lambda: atp_allocate(inst, f, bids),
+            lambda: best_response(inst, f, bids, 0),
+            lambda: verify_tp_ne(inst, f, bids),
+            lambda: deviation_sweep(inst, f, bids),
+            lambda: tp_to_pce(inst, f, bids),
+            lambda: verify_pce(inst, f, Allocation([[0.5, 0.5], [0.5, 1.5]])),
+            lambda: pce_to_tp(inst, f, Allocation([[0.5, 0.5], [0.5, 1.5]])),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
 class TestScaling:
     def test_identity(self):
         f = CurveFamily.linear(2)
@@ -226,6 +247,14 @@ class TestScaling:
         b2 = transform_bids(b, [4.0], f.degrees)
         assert b2.bid(0, 0).amount == pytest.approx(0.2)
         assert bid_cost(f2, b2.row(0)) == pytest.approx(bid_cost(f, b.row(0)))
+
+    @pytest.mark.parametrize(
+        "a, degree", [(np.inf, 1.0), (np.nan, 1.0), (1.0, np.inf), (1.0, np.nan)]
+    )
+    def test_transform_rejects_nonfinite(self, a, degree):
+        b = BidMatrix.from_rows([[Bid.positive(0.8)]])
+        with pytest.raises(ValueError, match="positive and finite"):
+            transform_bids(b, [a], [degree])
 
     @settings(max_examples=200, **COMMON)
     @given(st.integers(0, 100_000))

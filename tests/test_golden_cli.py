@@ -44,6 +44,30 @@ CASES = {
         ],
         EXIT_VERIFY,
     ),
+    "verify_allocation_pce": (
+        [
+            "verify",
+            "--curves",
+            "file:" + _in("price_curves.json"),
+            "--allocation",
+            _in("allocation.json"),
+            _in("beta_good.json"),
+        ],
+        EXIT_OK,
+    ),
+    # Under linear curves agent 1's half unit of good 0 costs only half its budget.
+    "verify_allocation_linear": (
+        [
+            "verify",
+            "--curves",
+            "linear",
+            "--allocation",
+            _in("allocation.json"),
+            "--assert",
+            _in("beta_good.json"),
+        ],
+        EXIT_VERIFY,
+    ),
     "reduce_tp2pc": (
         [
             "reduce",

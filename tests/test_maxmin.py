@@ -144,6 +144,17 @@ class TestStrategyproofness:
 
 
 class TestDemos:
+    def test_bad_ne_cap_before_enumeration(self, monkeypatch):
+        from tradepost import maxmin
+
+        def enumerated(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(maxmin, "_all_subsets", enumerated)
+        monkeypatch.setattr(maxmin, "mechanism1", enumerated)
+        with pytest.raises(ValueError, match="exhaustive search limited"):
+            demo_bad_ne_m1(maxmin.MAX_EXHAUSTIVE_GOODS + 1)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_bad_ne_ratio(self, n):
         rep = demo_bad_ne_m1(n)

@@ -1,3 +1,4 @@
+import math
 import re
 from collections import Counter
 
@@ -88,6 +89,32 @@ class TestCurves:
         assert all(c.degree == 2.0 and c.coeff == 1.0 for c in f)
         with pytest.raises(ValueError):
             CurveFamily.atp(1.0, 2)
+
+    def test_family_is_two_read_only_arrays(self):
+        f = CurveFamily([PowerCurve(2.0, 3.0), PowerCurve(0.0, 1.0)])
+        assert f.coeffs.tolist() == [2.0, 0.0] and f.degrees.tolist() == [3.0, 1.0]
+        assert not f.coeffs.flags.writeable and not f.degrees.flags.writeable
+        assert f[1] == PowerCurve(0.0, 1.0)
+        assert list(f) == [PowerCurve(2.0, 3.0), PowerCurve(0.0, 1.0)]
+
+    @pytest.mark.parametrize(
+        "coeff, degree, message",
+        [
+            (-1.0, 1.0, "coefficient must be finite and nonnegative, got -1.0"),
+            (math.inf, 1.0, "coefficient must be finite and nonnegative, got inf"),
+            (1.0, 0.0, "degree must be positive, got 0.0"),
+            (1.0, math.nan, "degree must be positive, got nan"),
+        ],
+    )
+    def test_one_validity_rule(self, coeff, degree, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PowerCurve(coeff, degree)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CurveFamily._from_arrays(np.array([1.0, coeff]), np.array([1.0, degree]))
+
+    def test_derived_family_checked(self):
+        with pytest.raises(ValueError, match="degree must be positive, got inf"):
+            CurveFamily.atp(-math.inf, 2)
 
 
 class TestBidCost:

@@ -68,9 +68,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         {
             "command": "solve",
             "rho": str(args.rho),
-            "utilities": [float(v) for v in res.u_star],
-            "allocation": res.x_star.x.tolist(),
-            "duals": [float(v) for v in res.q],
+            "utilities": res.u_star,
+            "allocation": res.x_star.x,
+            "duals": res.q,
             "objective": res.objective,
             "kkt_residual": res.kkt_residual,
         },
@@ -89,8 +89,8 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
         {
             "command": "equilibrium",
             "rho": str(args.rho),
-            "bids": bids.to_lists(),
-            "allocation": alloc.x.tolist(),
+            "bids": bids,
+            "allocation": alloc.x,
             "is_ne": True,
             "welfare": welfare,
             "optimum": res.objective,
@@ -144,8 +144,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         payload = {
             "command": "reduce",
             "direction": args.direction,
-            "allocation": alloc.x.tolist(),
-            "price_curves": files.curves_to_lists(g),
+            "allocation": alloc.x,
+            "price_curves": np.stack([g.coeffs, g.degrees], axis=1),
         }
     else:
         g = files.parse_curve_spec(args.curves, inst.m)
@@ -154,8 +154,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         payload = {
             "command": "reduce",
             "direction": args.direction,
-            "constraint_curves": files.curves_to_lists(f),
-            "bids": bids.to_lists(),
+            "constraint_curves": np.stack([f.coeffs, f.degrees], axis=1),
+            "bids": bids,
         }
     _emit(args, payload)
     return EXIT_OK
@@ -193,7 +193,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
             "converged": converged,
             "welfare_per_round": trajectory,
             "is_ne": report.is_ne,
-            "final_bids": bids.to_lists(),
+            "final_bids": bids,
             "optimum": res.objective,
         },
     )

@@ -125,10 +125,6 @@ def load_curves(path: str | Path) -> CurveFamily:
     return CurveFamily(curves)
 
 
-def curves_to_lists(f: CurveFamily) -> list[list[float]]:
-    return np.stack([f.coeffs, f.degrees], axis=1).tolist()
-
-
 def parse_curve_spec(spec: str, m: int) -> CurveFamily:
     """Parse ``atp_rho:<rho>``, ``linear``, or ``file:<path>``."""
     spec = spec.strip()
@@ -153,11 +149,21 @@ def parse_curve_spec(spec: str, m: int) -> CurveFamily:
 def dumps(payload: Any) -> str:
     """Deterministic JSON: sorted keys, fixed layout, trailing newline.
 
-    The text is exactly ``json.dumps(payload, indent=2, sort_keys=True)`` plus
-    a newline, which is the report format.  That call runs ``json``'s
-    pure-Python encoder, because the C encoder takes no indent; here each list
-    of plain scalars, such as a row of a matrix, goes through the C encoder in
-    one call instead, with the line break and indent in its item separator.
+    The text is exactly ``json.dumps(plain, indent=2, sort_keys=True)`` plus
+    a newline, which is the report format; ``plain`` is ``payload`` with each
+    numpy array replaced by its ``tolist()`` and each ``BidMatrix`` by its
+    ``to_lists()``.  That call runs ``json``'s pure-Python encoder, because
+    the C encoder takes no indent; here each list of plain scalars, such as a
+    row of a matrix, goes through the C encoder in one call instead, with the
+    line break and indent in its item separator.
+
+    A 1-D or 2-D float64 array, or a bid matrix's amounts, whose cells are
+    finite and at most half nonzero is written straight from the array: every
+    zero cell is the one string ``0.0``, only the nonzero cells (-0.0
+    included) go through ``float.__repr__``, as the C encoder's do, and beta
+    cells are ``"beta"``.  Any other array (another dtype, an empty
+    dimension, more dimensions, a NaN or infinite cell, or mostly nonzero
+    cells, which the C encoder writes faster) is laid out from its list form.
     """
     return _layout(payload, "\n") + "\n"
 
@@ -173,10 +179,49 @@ def _row_encoder(newline: str) -> Callable[[Any], str]:
     return json.JSONEncoder(separators=("," + newline, ": ")).encode
 
 
+def _plain(obj: Any) -> Any:
+    """``json``'s ``default`` hook: an array or bid matrix as its list form."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, BidMatrix):
+        return obj.to_lists()
+    return json.JSONEncoder().default(obj)  # raises json's own TypeError
+
+
+def _layout_array(obj: np.ndarray | BidMatrix, newline: str) -> str:
+    """An array or bid matrix laid out as its list form is (see ``dumps``)."""
+    values, beta = (obj.amounts, obj.beta) if isinstance(obj, BidMatrix) else (obj, None)
+    # Subclasses such as masked arrays have list forms of their own.
+    exact = type(values) is np.ndarray and values.dtype == np.float64
+    if not exact or values.ndim not in (1, 2) or not values.size:
+        return _layout(_plain(obj), newline)
+    flat = values.ravel()
+    nonzero = (flat != 0) | np.signbit(flat)
+    cells = flat[nonzero]
+    if 2 * cells.size > flat.size or not np.isfinite(cells).all():
+        return _layout(_plain(obj), newline)
+    text = ["0.0"] * flat.size
+    for k, number in zip(np.flatnonzero(nonzero).tolist(), map(float.__repr__, cells.tolist())):
+        text[k] = number
+    if beta is not None:
+        for k in np.flatnonzero(beta).tolist():
+            text[k] = '"beta"'
+    inner = newline + "  "
+    if values.ndim == 1:
+        body = ("," + inner).join(text)
+        return f"[{inner}{body}{newline}]"
+    m, row_inner = values.shape[1], inner + "  "
+    rows = [("," + row_inner).join(text[k : k + m]) for k in range(0, flat.size, m)]
+    body = f"{inner}],{inner}[{row_inner}".join(rows)
+    return f"[{inner}[{row_inner}{body}{inner}]{newline}]"
+
+
 def _layout(obj: Any, newline: str) -> str:
     """``obj`` laid out as by ``json.dumps(indent=2, sort_keys=True)``, at the
     depth whose line break plus indent is ``newline``."""
     inner = newline + "  "
+    if isinstance(obj, (np.ndarray, BidMatrix)):
+        return _layout_array(obj, newline)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -184,14 +229,14 @@ def _layout(obj: Any, newline: str) -> str:
             body = _row_encoder(inner)(obj)[1:-1]
         else:
             body = ("," + inner).join([_layout(v, inner) for v in obj])
-        return "[" + inner + body + newline + "]"
+        return f"[{inner}{body}{newline}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         if not all(isinstance(k, str) for k in obj):
             # json converts and sorts non-string keys its own way; JSON text
             # holds no raw newline, so re-indenting its lines is exact.
-            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
-        body = ("," + inner).join([json.dumps(k) + ": " + _layout(obj[k], inner) for k in sorted(obj)])
-        return "{" + inner + body + newline + "}"
+            return json.dumps(obj, indent=2, sort_keys=True, default=_plain).replace("\n", newline)
+        body = ("," + inner).join([f"{json.dumps(k)}: {_layout(obj[k], inner)}" for k in sorted(obj)])
+        return f"{{{inner}{body}{newline}}}"
     return json.dumps(obj)

@@ -10,6 +10,7 @@ this kills the bad equilibria of the direct mechanism.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -218,6 +219,24 @@ def _all_subsets(m: int) -> list[frozenset[int]]:
     ]
 
 
+def _nth_subset(m: int, k: int) -> frozenset[int]:
+    """``_all_subsets(m)[k]``, without building the 2^m subsets."""
+    size = 0
+    while k >= math.comb(m, size):
+        k -= math.comb(m, size)
+        size += 1
+    chosen = []
+    good = 0
+    for left in range(size, 0, -1):
+        # Skip every combination whose next good is ``good``.
+        while k >= (count := math.comb(m - good - 1, left - 1)):
+            k -= count
+            good += 1
+        chosen.append(good)
+        good += 1
+    return frozenset(chosen)
+
+
 def demo_m2_truthful_ne(
     supplies: Sequence[float],
     true_sets: Sequence[Iterable[int]],
@@ -231,9 +250,13 @@ def demo_m2_truthful_ne(
 
     Exhaustive mode enumerates every alternative row an agent could submit
     ((2^m)^n of them); above the small-instance cap a seeded random sample is
-    used instead.  Also confirms the truthful outcome is maxmin-optimal.
+    used instead, each set drawn by its index in the enumeration order, so m
+    may reach 62 goods.  Also confirms the truthful outcome is
+    maxmin-optimal.
     """
     m = len(supplies)
+    if 2**m > np.iinfo(np.int64).max:
+        raise ValueError(f"{m} goods give 2^{m} report sets, more than a 64-bit integer can index")
     sets = [frozenset(int(j) for j in r) for r in true_sets]
     n = len(sets)
     truthful = ReportMatrix.unanimous(sets)
@@ -248,18 +271,14 @@ def demo_m2_truthful_ne(
     space = (2**m) ** n
     if exhaustive is None:
         exhaustive = space <= 4096
-    subsets = _all_subsets(m)
     checked = 0
     witness = None
     if exhaustive:
-        candidates = itertools.product(subsets, repeat=n)
-        rows = [list(c) for c in candidates]
+        rows = [list(c) for c in itertools.product(_all_subsets(m), repeat=n)]
     else:
         if rng is None:
             rng = np.random.default_rng(0)
-        rows = [
-            [subsets[int(rng.integers(len(subsets)))] for _ in range(n)] for _ in range(samples)
-        ]
+        rows = [[_nth_subset(m, int(rng.integers(2**m))) for _ in range(n)] for _ in range(samples)]
     for i in range(n):
         for row in rows:
             trial = truthful.replace_row(i, row)

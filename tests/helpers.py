@@ -35,6 +35,19 @@ def random_instance(
     return Instance(supplies, desired)
 
 
+def sparse_instance(rng: np.random.Generator, n: int, m: int) -> Instance:
+    """n agents who each desire 1-4 of m goods; every good desired by someone.
+
+    As on a network, each agent uses few of the goods, so allocation and bid
+    matrices are mostly zeros.
+    """
+    supplies = rng.integers(1, 6, size=m).astype(float)
+    desired = [set(rng.choice(m, size=int(rng.integers(1, 5)), replace=False).tolist()) for _ in range(n)]
+    for j in set(range(m)).difference(*desired):
+        desired[int(rng.integers(0, n))].add(j)
+    return Instance(supplies, desired)
+
+
 def welfare_batch(rho: Rho, U: np.ndarray) -> np.ndarray:
     """Vectorized welfare of many utility vectors (rows of U)."""
     if rho.is_maxmin:

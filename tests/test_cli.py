@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tradepost
+from helpers import sparse_instance
 from tradepost import CurveFamily, Rho, construct_atp_rho_equilibrium, five_by_seven_instance
 from tradepost import cli as cli_module
 from tradepost import equilibrium as equilibrium_module
@@ -441,6 +442,41 @@ class TestDeterminism:
         assert main(args + ["-o", str(out1)]) == EXIT_OK
         assert main(args + ["-o", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestMidSizeReportBytes:
+    """Reports of a 150x40 instance, whose rows are mostly zeros, are exactly
+    ``json.dumps(indent=2, sort_keys=True)`` text.
+
+    The golden set has at most 7 goods; here the array writer's zero cells
+    dominate.  Floats round-trip through ``repr``, so re-encoding the parsed
+    report pins its bytes without a golden file.
+    """
+
+    def test_solve_equilibrium_and_both_reductions(self, tmp_path):
+        instance = tmp_path / "instance.json"
+        save_instance(sparse_instance(np.random.default_rng([12, 150, 40]), 150, 40), instance)
+
+        def run(name, *argv):
+            out = tmp_path / f"{name}.json"
+            assert main([*argv, "-o", str(out), str(instance)]) == EXIT_OK
+            text = out.read_text(encoding="utf-8")
+            report = json.loads(text)
+            assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+            return report
+
+        def write(name, value):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(value), encoding="utf-8")
+            return str(path)
+
+        solved = run("solve", "solve", "--rho", "0.5")
+        assert solved["allocation"][0].count(0.0) > 30
+        bids = write("bids", run("equilibrium", "equilibrium", "--rho", "0.5")["bids"])
+        reduced = run("tp2pc", "reduce", "--direction", "tp2pc", "--curves", "atp_rho:0.5", "--bids", bids)
+        curves = "file:" + write("curves", reduced["price_curves"])
+        allocation = write("allocation", reduced["allocation"])
+        run("pc2tp", "reduce", "--direction", "pc2tp", "--curves", curves, "--allocation", allocation)
 
 
 class TestCallCounts:

@@ -7,6 +7,7 @@ paths a row takes.
 """
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -84,6 +85,131 @@ class TestDumps:
         with pytest.raises(TypeError) as got:
             files.dumps(payload)
         assert str(got.value) == str(expected.value)
+
+
+def _plain(payload):
+    """``payload`` with arrays and bid matrices in the list forms json takes."""
+    if isinstance(payload, np.ndarray):
+        return payload.tolist()
+    if isinstance(payload, BidMatrix):
+        return payload.to_lists()
+    if isinstance(payload, dict):
+        return {k: _plain(v) for k, v in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [_plain(v) for v in payload]
+    return payload
+
+
+_ARRAY_EDGES = [-0.0, 5e-324, 1e-120, sys.float_info.max, -sys.float_info.max, 0.1, 1.0, 2.0 / 3.0]
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+#: Row-vector, column-vector, empty and general shapes, 1-D and 2-D.
+shapes = st.one_of(
+    st.integers(0, 8).map(lambda k: (k,)),
+    st.just((1, 1)),
+    st.integers(1, 8).map(lambda m: (1, m)),
+    st.integers(1, 8).map(lambda n: (n, 1)),
+    st.integers(0, 4).map(lambda k: (0, k)),
+    st.integers(0, 4).map(lambda k: (k, 0)),
+    st.tuples(st.integers(1, 6), st.integers(1, 8)),
+)
+
+
+@st.composite
+def float_arrays(draw, finite=True):
+    """Float64 arrays that are mostly zeros, sometimes mostly not."""
+    shape = draw(shapes)
+    nonzero = st.one_of(st.sampled_from(_ARRAY_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+    if not finite:
+        nonzero = st.one_of(nonzero, st.sampled_from(_NON_FINITE))
+    zero_share = draw(st.sampled_from([0.0, 0.5, 0.8, 0.95, 1.0]))
+    size = math.prod(shape)
+    cells = [draw(nonzero) if draw(st.floats(0, 1)) >= zero_share else 0.0 for _ in range(size)]
+    return np.array(cells, dtype=float).reshape(shape)
+
+
+@st.composite
+def bid_matrices(draw):
+    amounts = np.abs(draw(float_arrays().filter(lambda a: a.ndim == 2)))
+    amounts = BidMatrix(amounts, np.zeros(amounts.shape, dtype=bool)).amounts
+    mask = np.array(draw(st.lists(st.booleans(), min_size=amounts.size, max_size=amounts.size)), dtype=bool)
+    return BidMatrix(amounts, mask.reshape(amounts.shape) & (amounts == 0))
+
+
+def _arrays_of(cells, dtype):
+    def fill(shape):
+        size = math.prod(shape)
+        lists = st.lists(cells, min_size=size, max_size=size)
+        return lists.map(lambda v: np.array(v, dtype=dtype).reshape(shape))
+
+    return shapes.flatmap(fill)
+
+
+def _float32(a):
+    with np.errstate(over="ignore"):
+        return a.astype(np.float32)
+
+
+other_arrays = st.one_of(
+    _arrays_of(st.integers(-(2**63), 2**63 - 1), np.int64),
+    _arrays_of(st.booleans(), bool),
+    float_arrays(finite=False).map(_float32),
+)
+
+arrays = st.one_of(float_arrays(), float_arrays(finite=False), bid_matrices(), other_arrays)
+
+
+def _nest(value, depth):
+    if depth == 0:
+        return value
+    if depth == 1:
+        return {"allocation": value, "objective": 0.5}
+    return {"outer": {"bids": value, "n": 3}, "rows": [value, "beta", None]}
+
+
+class TestDumpsArrays:
+    """Arrays and bid matrices are written as their list forms would be."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(arrays, arrays, st.sampled_from([0, 1, 2]))
+    def test_matches_list_forms(self, value, other, depth):
+        payload = _nest(value, depth)
+        if depth:
+            payload["other"] = other
+        assert files.dumps(payload) == _reference(_plain(payload))
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.array([0.0, math.nan, 0.0, 0.0]),
+            np.array([[0.0, 0.0, math.inf], [0.0, 0.0, 0.0]]),
+            np.array([[-math.inf, 0.0, 0.0, 0.0]]),
+            np.array([[math.nan]]),
+        ],
+    )
+    def test_non_finite_cells_are_written_as_json_does(self, value):
+        text = files.dumps({"x": value})
+        assert text == _reference({"x": value.tolist()})
+        assert "NaN" in text or "Infinity" in text
+
+    def test_mostly_zero_rows_and_beta_cells(self):
+        amounts = np.zeros((3, 50))
+        amounts[0, 7], amounts[2, 49] = 0.25, sys.float_info.max
+        beta = np.zeros((3, 50), dtype=bool)
+        beta[1, 0] = beta[2, 3] = True
+        bids = BidMatrix(amounts, beta)
+        x = np.zeros((2, 60))
+        x[1, 0], x[0, 59] = -0.0, 5e-324
+        payload = {"bids": bids, "allocation": x, "curves": np.stack([np.ones(3), np.full(3, 0.5)], axis=1)}
+        assert files.dumps(payload) == _reference(_plain(payload))
+
+    def test_arrays_under_non_string_keys(self):
+        payload = {"a": {1: np.array([[0.0, 1.5]]), 0: BidMatrix([[0.0]], [[True]])}}
+        assert files.dumps(payload) == _reference(_plain(payload))
+
+    def test_array_subclass_uses_its_own_list_form(self):
+        masked = np.ma.masked_array([0.0, 2.0, 0.0, 0.0], mask=[False, True, False, False])
+        assert files.dumps({"m": masked}) == _reference({"m": masked.tolist()})
 
 
 class TestLoadBids:

@@ -186,6 +186,52 @@ class TestDemos:
         assert rep["mode"] == "sampled"
         assert rep["is_nash_equilibrium"]
 
+    @pytest.mark.parametrize("m", range(11))
+    def test_nth_subset_is_the_enumeration_order(self, m):
+        from tradepost import maxmin
+
+        subsets = maxmin._all_subsets(m)
+        assert [maxmin._nth_subset(m, k) for k in range(2**m)] == subsets
+
+    def test_m2_sampled_mode_draws_rows_without_enumerating(self, monkeypatch):
+        """Sampled mode tries the rows the 2^m list gave, from the same draws."""
+        from tradepost import maxmin
+
+        supplies, sets, samples = [1.0, 2.0, 1.0, 1.0, 3.0, 1.0], [{0, 1}, {1, 2, 5}, {3, 4}], 40
+        subsets, draws = maxmin._all_subsets(6), np.random.default_rng(7)
+        drawn = [[subsets[int(draws.integers(2**6))] for _ in sets] for _ in range(samples)]
+
+        def enumerated(*args):
+            raise AssertionError("all subsets built")
+
+        tried = []
+        replace_row = ReportMatrix.replace_row
+        monkeypatch.setattr(maxmin, "_all_subsets", enumerated)
+        monkeypatch.setattr(
+            ReportMatrix, "replace_row", lambda self, i, row: tried.append(row) or replace_row(self, i, row)
+        )
+        rep = demo_m2_truthful_ne(supplies, sets, samples=samples, rng=np.random.default_rng(7))
+        assert rep == {
+            "is_nash_equilibrium": True,
+            "welfare": 1.0,
+            "optimal": 1.0,
+            "mode": "sampled",
+            "deviations_checked": 120,
+            "witness": None,
+        }
+        assert tried == drawn * len(sets)
+
+    def test_m2_too_many_goods_rejected_before_work(self, monkeypatch):
+        from tradepost import maxmin
+
+        def worked(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(maxmin, "mechanism2", worked)
+        monkeypatch.setattr(maxmin, "maxmin_gamma", worked)
+        with pytest.raises(ValueError, match="64-bit"):
+            demo_m2_truthful_ne([1.0] * 63, [{0}], samples=1)
+
     @pytest.mark.parametrize("rv", [-1.0, 0.0, 0.9])
     def test_not_strategyproof_demo(self, rv):
         rep = demo_not_strategyproof_ces(Rho.finite(rv))

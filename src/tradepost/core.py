@@ -211,6 +211,13 @@ class Allocation:
         return self.x.shape[1]
 
 
+def require_positive(**values: float) -> None:
+    """Reject a tolerance or iteration budget that is not a finite number > 0, naming it."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def utility(inst: Instance, i: int, x_i: Sequence[float]) -> float:
     """Utility of agent ``i`` for bundle ``x_i``: min quantity over her desired goods."""
     if not 0 <= i < inst.n:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Allocation, Instance, Rho, ces_welfare, utilities
+from .core import Allocation, Instance, Rho, ces_welfare, require_positive, utilities
 from .solver import TOL_DUAL, SolveResult, solve_ces
 from .trading_post import (
     TOL_BID,
@@ -79,7 +79,9 @@ def verify_tp_ne(
     meaningful on competitive profiles; an agent who already holds the entire
     supply of every good she values can be stable without exhausting her
     budget, and such profiles are the caller's responsibility to avoid.
+    ``tol`` must be finite and > 0.
     """
+    require_positive(tol=tol)
     x = atp_allocate(inst, f, bids)
     i, j, expected, gap = _worst_share(inst, x, bids.amounts.sum(axis=0) > 0)
     costs = f.cost_rows(bids.amounts)
@@ -186,7 +188,8 @@ def verify_pce(
     *,
     tol: float = TOL_EQ,
 ) -> PceReport:
-    """Check demand-set membership, exhausted budgets, and market clearing."""
+    """Check demand-set membership, exhausted budgets, and market clearing; ``tol`` must be finite and > 0."""
+    require_positive(tol=tol)
     _require_goods(g, inst.m)
     if x.x.shape != (inst.n, inst.m):
         raise ValueError("allocation shape mismatch")

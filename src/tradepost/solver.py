@@ -2,13 +2,17 @@
 
 The program  max Phi_rho(u)  s.t.  sum_i w_ij u_i <= s_j,  u >= 0  is solved
 directly in utility space: any feasible utility vector is realized by the
-allocation x_ij = w_ij * u_i.  For finite rho < 1 the method is projected dual
-ascent on the per-good multipliers q.  The inner maximization is separable
-with the closed form u_i = (sum_{j in R_i} q_j)^(-1/(1-rho)), which makes the
-dual smooth and convex; a damped projected Newton step then drives the KKT
-residual far below tolerance.  The sum (rho = 1) is a linear program, solved
-by an interior-point method that finds its optimal face and then the
-least-norm point on that face.  Only numpy is involved.
+allocation x_ij = w_ij * u_i.  Both objective families use numpy-only
+Mehrotra interior points that share the step rule, the centring and the
+Cholesky solve of an m x m normal matrix.
+
+- Finite rho < 1: utilities are the closed-form response
+  u_i = (sum_{j in R_i} q_j)^(-1/(1-rho)) to per-good prices q, and one
+  path-following solve drives the dual's complementarity conditions,
+  supply slack z = s - W^T u(q) >= 0 with q * z = 0.  Undamped Newton steps
+  on the goods it finds tight finish the point to round-off.
+- Sum (rho = 1): a linear program.  One interior-point call finds its
+  optimal face, a second the least-norm point on that face.
 
 The returned multipliers are normalized so that the budget identity
 sum_{j in R_i} q_j * u_i^(1-rho) = 1 holds for every agent at the solution;
@@ -19,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import Allocation, Instance, Rho, ces_welfare
+from .core import Allocation, Instance, Rho, ces_welfare, require_positive
 
 #: Target on stationarity, feasibility, and complementary slackness, relative
 #: to max(1, s_j) for good-indexed terms.
@@ -32,7 +36,7 @@ TOL_KKT = 1e-7
 #: Multipliers at or below this are reported as zero-priced.
 TOL_DUAL = 1e-8
 
-#: Default total inner-iteration budget.
+#: Default interior-point iteration budget.
 MAX_ITER = 10**6
 
 
@@ -54,51 +58,6 @@ class SolveResult:
     q: np.ndarray
     objective: float
     kkt_residual: float
-
-
-class _DualModel(NamedTuple):
-    """Closed-form primal response and dual value for one objective."""
-
-    response: Callable[[np.ndarray], np.ndarray]
-    slope: Callable[[np.ndarray], np.ndarray]
-    value: Callable[[np.ndarray, np.ndarray], float]
-
-
-def _finite_model(r: float, s: np.ndarray) -> _DualModel:
-    if r == 0.0:
-
-        def response(Q):
-            with np.errstate(divide="ignore"):
-                return np.where(Q > 0, 1.0 / np.maximum(Q, 1e-300), np.inf)
-
-        def slope(Q):
-            return -1.0 / np.maximum(Q, 1e-300) ** 2
-
-        def value(q, Q):
-            if np.any(Q <= 0):
-                return math.inf
-            return float(np.sum(-np.log(Q) - 1.0) + q @ s)
-
-    else:
-        p = 1.0 / (r - 1.0)
-        sigma = r * p  # r / (r - 1)
-        coef = (1.0 - r) / r
-
-        def response(Q):
-            with np.errstate(divide="ignore", over="ignore"):
-                return np.where(Q > 0, np.maximum(Q, 1e-300) ** p, np.inf)
-
-        def slope(Q):
-            return p * np.maximum(Q, 1e-300) ** (p - 1.0)
-
-        def value(q, Q):
-            if r > 0 and np.any(Q <= 0):
-                return math.inf
-            with np.errstate(divide="ignore"):
-                terms = np.where(Q > 0, np.maximum(Q, 1e-300) ** sigma, 0.0 if r < 0 else np.inf)
-            return float(coef * terms.sum() + q @ s)
-
-    return _DualModel(response, slope, value)
 
 
 def _certificate(
@@ -131,145 +90,6 @@ def _certificate(
     return float(max(feas, comp, stat)), separated
 
 
-def _newton_direction(
-    W: np.ndarray, q: np.ndarray, g: np.ndarray, h: np.ndarray, lam: float
-) -> np.ndarray | None:
-    free = (q > 0) | (g < 0)
-    if not free.any():
-        return None
-    Wf = W[:, free]
-    Hf = Wf.T @ (Wf * h[:, None])
-    gf = g[free]
-    diag = np.maximum(np.diag(Hf).max(), 1e-30)
-    try:
-        d = np.linalg.solve(Hf + lam * diag * np.eye(Hf.shape[0]), -gf)
-    except np.linalg.LinAlgError:
-        d = np.linalg.lstsq(Hf, -gf, rcond=None)[0]
-    direction = np.zeros_like(q)
-    direction[free] = d
-    return direction
-
-
-#: Multiplicative-warmup, damped-Newton and undamped-polish round limits of
-#: :func:`_minimize_dual`.
-_WARMUP_ROUNDS = 400
-_NEWTON_ROUNDS = 150
-_POLISH_ROUNDS = 12
-
-
-def _minimize_dual(
-    W: np.ndarray,
-    s: np.ndarray,
-    model: _DualModel,
-    q0: np.ndarray,
-    *,
-    eta: float,
-    residual: Callable[[np.ndarray], float],
-    goal: float,
-    budget: int,
-) -> tuple[np.ndarray, int]:
-    """Multiplicative ascent, damped projected Newton, then an undamped polish.
-
-    ``residual`` must judge the multipliers by the same measure the caller
-    will finally report; anything weaker lets large multipliers amplify
-    leftover demand gaps past tolerance.  The final polish iterates the KKT
-    equations without a line search: close to the optimum the dual value
-    changes by less than float granularity, so monotone-descent tests stall
-    while plain Newton steps still shrink the demand gap quadratically.
-    """
-    q = q0.copy()
-    used = 0
-
-    # For very flat steps (rho near 1) the usual clip bounds overshoot;
-    # keep the per-iteration movement proportional to the step size.
-    lo = max(0.25, 1.0 - 50.0 * eta)
-    hi = min(4.0, 1.0 + 50.0 * eta)
-    for it in range(min(_WARMUP_ROUNDS, budget)):
-        used += 1
-        Q = W @ q
-        u = model.response(Q)
-        if not np.all(np.isfinite(u)):
-            q = q * 2.0 + 1e-6
-            continue
-        demand = u @ W
-        if it % 10 == 0 and residual(q) <= goal:
-            return q, used
-        with np.errstate(divide="ignore"):
-            ratio = np.clip((demand / s) ** eta, lo, hi)
-        q = np.maximum(q * ratio, 0.0)
-
-    lam = 1e-12
-    d_cur = model.value(q, W @ q)
-    for _ in range(_NEWTON_ROUNDS):
-        if used >= budget:
-            break
-        used += 1
-        if residual(q) <= goal:
-            return q, used
-        Q = W @ q
-        u = model.response(Q)
-        if not np.all(np.isfinite(u)):
-            q = q * 2.0 + 1e-6
-            d_cur = model.value(q, W @ q)
-            continue
-        g = s - u @ W
-        h = -model.slope(Q)  # >= 0
-        accepted = False
-        for _attempt in range(12):
-            direction = _newton_direction(W, q, g, h, lam)
-            if direction is None:
-                break
-            alpha = 1.0
-            for _bt in range(50):
-                q_new = np.maximum(q + alpha * direction, 0.0)
-                d_new = model.value(q_new, W @ q_new)
-                if d_new < d_cur or (d_new == d_cur and alpha < 1e-8):
-                    q, d_cur = q_new, d_new
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if accepted:
-                lam = max(lam * 0.3, 1e-14)
-                break
-            lam *= 100.0
-        if not accepted:
-            break
-
-    best_q, best_r = q.copy(), residual(q)
-    for _ in range(_POLISH_ROUNDS):
-        if best_r <= goal or used >= budget:
-            break
-        used += 1
-        Q = W @ q
-        u = model.response(Q)
-        if not np.all(np.isfinite(u)):
-            break
-        g = s - u @ W
-        direction = _newton_direction(W, q, g, -model.slope(Q), 1e-14)
-        if direction is None:
-            break
-        q = np.maximum(q + direction, 0.0)
-        r = residual(q)
-        if r < best_r:
-            best_q, best_r = q.copy(), r
-
-    return best_q, used
-
-
-def _initial_q(W: np.ndarray, Q_target: np.ndarray) -> np.ndarray:
-    sizes = W.sum(axis=1)  # |R_i|
-    d = W.sum(axis=0)  # demander counts, >= 1
-    contrib = W * (Q_target / sizes)[:, None]
-    return contrib.sum(axis=0) / d
-
-
-def _fair_share(W: np.ndarray, s: np.ndarray) -> np.ndarray:
-    d = W.sum(axis=0)
-    ratios = s / d
-    masked = np.where(W > 0, ratios[None, :], np.inf)
-    return masked.min(axis=1)
-
-
 def _snap_feasible(W: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
     demand = u @ W
     with np.errstate(divide="ignore"):
@@ -296,50 +116,160 @@ def solve_ces(
     """Maximize CES welfare for a finite rho (< 1) or the sum objective (rho = 1).
 
     Raises :class:`NonConvergence` when the iteration budget runs out before
-    the KKT residual drops below ``tol_kkt``; at rho = 1, ``max_iter`` counts
-    interior-point iterations.
+    the KKT residual drops below ``tol_kkt``; ``max_iter`` counts
+    interior-point iterations.  Both must be finite and > 0.
     """
+    require_positive(tol_kkt=tol_kkt, max_iter=max_iter)
     if rho.is_maxmin:
         raise ValueError("use solve_maxmin for the maxmin objective")
-    W, s = inst.weights, inst.supply_array
     if rho.is_one:
         return _solve_sum(inst, tol_kkt=tol_kkt, max_iter=max_iter)
-
-    r = rho.value
-    model = _finite_model(r, s)
-    u_fair = _fair_share(W, s)
-    q0 = _initial_q(W, u_fair ** (r - 1.0))
-    eta = float(np.clip(0.8 * (1.0 - r), 1e-3, 1.2))
-    goal = tol_kkt * 0.5
-
-    def measured(q: np.ndarray) -> float:
-        u = _snap_feasible(W, s, model.response(W @ q))
-        res, separated = _certificate(W, s, rho, u, q, tol_kkt)
-        return res if separated else max(res, 1.0)
-
-    used_total = 0
-    best: tuple[float, np.ndarray] | None = None
-    for scale0 in (1.0, 0.1, 10.0):
-        q, used = _minimize_dual(
-            W, s, model, q0 * scale0, eta=eta, residual=measured, goal=goal, budget=max_iter - used_total
-        )
-        used_total += used
-        u = _snap_feasible(W, s, model.response(W @ q))
-        res, separated = _certificate(W, s, rho, u, q, tol_kkt)
-        if best is None or res < best[0]:
-            best = (res, q)
-        if res <= tol_kkt and separated:
-            return _result(inst, rho, u, q, res)
-        if used_total >= max_iter:
-            break
-    assert best is not None
-    raise NonConvergence(used_total, best[0])
+    return _solve_finite(inst, rho, tol_kkt=tol_kkt, max_iter=max_iter)
 
 
-#: Iteration cap of one :func:`_interior_point` call (Mehrotra's method needs
-#: a few dozen at most) and its stopping tolerance.
+#: Iteration cap of one interior-point solve (Mehrotra's method needs a few
+#: dozen at most) and the stopping tolerance of :func:`_interior_point`.
 _IP_ROUNDS = 100
 _IP_TOL = 1e-12
+
+
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest step in [0, 1] that keeps v + step * dv >= 0."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(np.min(np.where(dv < 0, -v / dv, 1.0), initial=1.0))
+
+
+def _spd_solver(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Solve M d = rhs through a Cholesky factor, by least squares when M is numerically singular."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return lambda rhs: np.linalg.lstsq(M, rhs, rcond=None)[0]
+    return lambda rhs: np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+
+
+def _mehrotra_step(
+    x: np.ndarray, z: np.ndarray, direction: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+) -> tuple[tuple[np.ndarray, ...], float]:
+    """Mehrotra's predictor-corrector step for complementary pairs x, z > 0.
+
+    ``direction(target)`` returns the Newton step (dx, dz, ...) whose
+    linearized change of x * z is ``target``.  Returns the centred corrector
+    and 0.95 of the step to the boundary, capped at 1.
+    """
+    mu = x @ z / len(x)
+    dx, dz, *_ = direction(-x * z)  # affine predictor
+    alpha = min(_max_step(x, dx), _max_step(z, dz))
+    sigma = ((x + alpha * dx) @ (z + alpha * dz) / len(x) / mu) ** 3
+    step = direction(sigma * mu - x * z - dx * dz)  # centred corrector
+    # Stop short of the boundary: at 0.99 the least-norm iterates can cycle.
+    return step, min(1.0, 0.95 * min(_max_step(x, step[0]), _max_step(z, step[1])))
+
+
+def _normal_matrix(W: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """h -> W^T diag(h) W for a 0/1 matrix W, summed over the pairs of goods one agent desires.
+
+    That is O(sum |R_i|^2) work per call instead of O(n m^2).  The nonzeros of
+    W come row by row; each is paired with every nonzero of its own row.
+    """
+    m = W.shape[1]
+    agent, good = np.nonzero(W)
+    size = np.bincount(agent)[agent]
+    pair = np.repeat(np.arange(len(agent)), size)
+    offset = np.arange(len(pair)) - np.repeat(np.cumsum(size) - size, size)
+    other = np.searchsorted(agent, agent)[pair] + offset
+    pair_agent, pair_cell = agent[pair], good[pair] * m + good[other]
+    return lambda h: np.bincount(pair_cell, weights=h[pair_agent], minlength=m * m).reshape(m, m)
+
+
+#: Newton steps of the finish, and halvings of one interior-point step.
+_FINISH_ROUNDS = 4
+_BACKTRACKS = 30
+
+
+def _solve_finite(inst: Instance, rho: Rho, *, tol_kkt: float, max_iter: int) -> SolveResult:
+    """Finite rho: path following on the dual's complementarity conditions.
+
+    Utilities are the closed-form response u_i = Q_i^(-1/(1-rho)) to the
+    prices, Q = W q, so the budget identity holds by construction.  The
+    iterates are prices q > 0 and supply slacks z > 0, driven towards
+    z = s - W^T u(q)  and  q * z = 0,  a monotone complementarity problem
+    (Kojima, Megiddo & Noma, Math. Programming 50, 1991).  Each Mehrotra
+    step solves  (W^T diag(h) W + diag(z / q)) dq = rhs,  where
+    h = u / ((1 - rho) Q) is the demand's sensitivity to Q.  It starts at
+    q_j = gamma^(rho - 1), gamma the maxmin level, so that every u_i <= gamma.
+    Once the iterates near the solution, a finish takes undamped Newton steps
+    on the goods with q > z, the others unpriced, down to round-off.
+    """
+    W, s = inst.weights, inst.supply_array
+    r = rho.value
+    normal = _normal_matrix(W)
+
+    def respond(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Utilities at prices q, their sensitivity h, and the supply slacks s - W^T u."""
+        Q = W @ q
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            u = Q ** (1.0 / (r - 1.0))
+            return u, u / ((1.0 - r) * Q), s - u @ W
+
+    def judged(q: np.ndarray) -> float:
+        u = respond(q)[0]
+        if not np.all(np.isfinite(u)):
+            return math.inf
+        res, separated = _certificate(W, s, rho, _snap_feasible(W, s, u), q, tol_kkt)
+        return res if separated else max(res, 1.0)
+
+    def finish(q: np.ndarray, tight: np.ndarray) -> tuple[float, np.ndarray]:
+        """Newton on s_T = W_T^T u(q) with q zero off T, until the certificate stops halving."""
+        q = np.where(tight, q, 0.0)
+        best = (judged(q), q)
+        for _ in range(_FINISH_ROUNDS):
+            _, h, slack = respond(q)
+            if not np.all(np.isfinite(h)):
+                break
+            q = q.copy()
+            step = np.linalg.lstsq(normal(h)[np.ix_(tight, tight)], slack[tight], rcond=None)[0]
+            q[tight] = np.maximum(q[tight] - step, 0.0)
+            res = judged(q)
+            halved = res < best[0] / 2
+            if res < best[0]:
+                best = (res, q)
+            if not halved:
+                break
+        return best
+
+    q = np.full(len(s), np.min(s / W.sum(axis=0)) ** (r - 1.0))
+    z = s.copy()
+    _, h, slack = respond(q)
+    best = (math.inf, q)
+    for used in range(1, min(max_iter, _IP_ROUNDS) + 1):
+        resid = z - slack
+        solve = _spd_solver(normal(h) + np.diag(z / q))
+
+        def direction(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            dq = solve(resid + target / q)
+            return dq, (target - z * dq) / q
+
+        (dq, dz), alpha = _mehrotra_step(q, z, direction)
+        # The step is a linearization: take it unless it blows up ||resid||.
+        for _ in range(_BACKTRACKS):
+            _, h, slack = respond(q + alpha * dq)
+            with np.errstate(over="ignore", invalid="ignore"):
+                accepted = np.sum((z + alpha * dz - slack) ** 2) <= 10.0 * (resid @ resid)
+            if accepted:
+                break
+            alpha /= 2.0
+        else:
+            break
+        q, z = q + alpha * dq, z + alpha * dz
+        if np.max((q * z + np.abs(z - slack)) / np.maximum(1.0, s)) <= tol_kkt:
+            best = min(best, finish(q, q > z), key=lambda b: b[0])
+            if best[0] <= tol_kkt * 0.5:
+                break
+    res, q = best
+    if res > tol_kkt:
+        raise NonConvergence(used, res)
+    return _result(inst, rho, _snap_feasible(W, s, respond(q)[0]), q, res)
 
 
 def _interior_point(
@@ -366,10 +296,6 @@ def _interior_point(
     xz = x @ z
     x, z = x + 0.5 * xz / z.sum(), z + 0.5 * xz / x.sum()
 
-    def max_step(v: np.ndarray, dv: np.ndarray) -> float:
-        with np.errstate(divide="ignore", over="ignore"):
-            return float(np.min(np.where(dv < 0, -v / dv, 1.0), initial=1.0))
-
     for used in range(rounds + 1):
         rp, rd, mu = b - A @ x, c + h * x - A.T @ y - z, x @ z / cols
         residual = max(mu, max(np.abs(rp).max(), np.abs(rd).max()) / scale)
@@ -378,27 +304,14 @@ def _interior_point(
         # Newton step on Ax = b, A^T y + z - h x = c, x z = target, reduced to
         # the normal equations A D A^T dy = rhs with D = (h + z/x)^-1.
         d = 1.0 / (h + z / x)
-        M = (A * d) @ A.T
-        try:
-            L = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:  # numerically singular on a degenerate face
-            L = None
+        solve = _spd_solver((A * d) @ A.T)
 
         def direction(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            rhs = rp + A @ (d * (rd - target / x))
-            if L is None:
-                dy = np.linalg.lstsq(M, rhs, rcond=None)[0]
-            else:
-                dy = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+            dy = solve(rp + A @ (d * (rd - target / x)))
             dx = d * (A.T @ dy - rd + target / x)
-            return dx, dy, (target - z * dx) / x
+            return dx, (target - z * dx) / x, dy
 
-        dx, dy, dz = direction(-x * z)  # affine predictor
-        alpha = min(max_step(x, dx), max_step(z, dz))
-        sigma = ((x + alpha * dx) @ (z + alpha * dz) / cols / mu) ** 3
-        dx, dy, dz = direction(sigma * mu - x * z - dx * dz)  # centered corrector
-        # Stop short of the boundary: at 0.99 the least-norm iterates can cycle.
-        alpha = min(1.0, 0.95 * min(max_step(x, dx), max_step(z, dz)))
+        (dx, dz, dy), alpha = _mehrotra_step(x, z, direction)
         x, y, z = x + alpha * dx, y + alpha * dy, z + alpha * dz
     return x, z, used, float(residual)
 

@@ -410,14 +410,15 @@ class TestConfigValidation:
 
 
 class TestNumpyOnly:
-    def test_rho_one_solve_loads_no_scipy(self, tmp_path):
+    @pytest.mark.parametrize("rho", ["1", "0.5", "-2"])
+    def test_solve_loads_no_scipy(self, tmp_path, rho):
         # On a 2-core machine, importing scipy.optimize added about 0.5 s and
         # 50 MB of RSS to a CLI process; the solver needs numpy only.
         out = tmp_path / "out.json"
         code = (
             "import sys\n"
             "from tradepost.cli import main\n"
-            f"assert main(['solve', '--rho', '1', {GOLDEN_FIVE_BY_SEVEN!r}, '-o', {str(out)!r}]) == 0\n"
+            f"assert main(['solve', '--rho', {rho!r}, {GOLDEN_FIVE_BY_SEVEN!r}, '-o', {str(out)!r}]) == 0\n"
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
         )
         src = str(Path(tradepost.__file__).parents[1])

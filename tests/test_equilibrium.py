@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_instance
+from helpers import random_instance, sparse_instance
 from tradepost import (
     Allocation,
     Bid,
@@ -231,6 +231,34 @@ class TestFamilySize:
                 call()
 
 
+class TestToleranceValidation:
+    """A tolerance that is not finite and > 0 is rejected, naming it.
+
+    With tol = nan or inf this profile used to verify, though it fails at the
+    default tolerance: agent 0 spends 0.1 of her budget.
+    """
+
+    INST = Instance([1.0, 1.0], [{0}, {0, 1}])
+    BIDS = BidMatrix(np.array([[0.1, 0.0], [0.2, 0.3]]), np.zeros((2, 2), dtype=bool))
+    ALLOC = Allocation([[0.5, 0.0], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejected_everywhere(self, tol):
+        inst, f = self.INST, CurveFamily.linear(2)
+        assert not verify_tp_ne(inst, f, self.BIDS).is_ne
+        assert not verify_pce(inst, f, self.ALLOC).is_pce
+        calls = [
+            lambda: verify_tp_ne(inst, f, self.BIDS, tol=tol),
+            lambda: verify_pce(inst, f, self.ALLOC, tol=tol),
+            lambda: tp_to_pce(inst, f, self.BIDS, tol=tol),
+            lambda: pce_to_tp(inst, f, self.ALLOC, tol=tol),
+            lambda: construct_atp_rho_equilibrium(inst, Rho.finite(-1.0), tol=tol),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="tol must be finite and > 0"):
+                call()
+
+
 class TestScaling:
     def test_identity(self):
         f = CurveFamily.linear(2)
@@ -328,6 +356,24 @@ class TestConstruct:
         inst = random_instance(rng, n_max=5, m_max=5)
         b, x = construct_atp_rho_equilibrium(inst, Rho.finite(rv))
         assert np.all(utilities(inst, x) > 0)
+
+
+class TestWideSupplies:
+    """Solve then construct on 20x8 instances, integer supplies and supplies over 8 decades."""
+
+    @pytest.mark.parametrize(
+        "rv, wide", [(-2.0, False), (0.0, False), (0.5, False), (0.9, False), (0.0, True), (0.5, True), (0.9, True)]
+    )
+    def test_construct_succeeds(self, rv, wide):
+        rho = Rho.finite(rv)
+        for k in range(10):
+            inst = sparse_instance(np.random.default_rng([5, k]), 20, 8)
+            if wide:
+                supplies = 10 ** np.random.default_rng([6, k]).uniform(-4, 4, 8)
+                inst = Instance(supplies, inst.desired)
+            res = solve_ces(inst, rho)
+            b, x = construct_atp_rho_equilibrium(inst, rho, solve=res)
+            assert ces_welfare(rho, utilities(inst, x)) == pytest.approx(res.objective, rel=1e-6), k
 
 
 class TestDynamicsSpotCheck:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bisect_maxmin, grid_search_welfare, random_instance
+from helpers import bisect_maxmin, grid_search_welfare, random_instance, sparse_instance
 from tradepost import (
     TOL_DUAL,
     TOL_KKT,
@@ -22,6 +22,7 @@ from tradepost import (
     utilities,
 )
 from tradepost.files import load_instance
+from tradepost.solver import _normal_matrix
 
 COMMON = dict(deadline=None, derandomize=True)
 DATA = Path(__file__).parent / "data"
@@ -47,8 +48,8 @@ class TestSolveCes:
         inst = five_by_seven_instance()
         res = solve_ces(inst, Rho.finite(rv))
         u_a = 1.0 / ((1.5) ** (1.0 / (rv - 1.0)) + 1.0)
-        assert np.allclose(res.u_star[:3], u_a, atol=1e-6)
-        assert np.allclose(res.u_star[3:], 1.0 - u_a, atol=1e-6)
+        assert np.allclose(res.u_star[:3], u_a, rtol=0, atol=1e-12)
+        assert np.allclose(res.u_star[3:], 1.0 - u_a, rtol=0, atol=1e-12)
 
     def test_counterexample_rho_minus_one_value(self):
         inst = five_by_seven_instance()
@@ -59,14 +60,14 @@ class TestSolveCes:
     def test_counterexample_high_rho_capped(self):
         inst = five_by_seven_instance()
         res = solve_ces(inst, Rho.finite(0.9))
-        assert np.allclose(res.u_star[:3], 2.0 / 3.0, atol=1e-6)
-        assert np.allclose(res.u_star[3:], 1.0 / 3.0, atol=1e-6)
+        assert np.allclose(res.u_star[:3], 2.0 / 3.0, rtol=0, atol=1e-12)
+        assert np.allclose(res.u_star[3:], 1.0 / 3.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("rv", [-2.0, -1.0, 0.0, 0.9])
     def test_lie_instance_equalizes(self, rv):
         inst = five_by_seven_instance(lie=True)
         res = solve_ces(inst, Rho.finite(rv))
-        assert np.allclose(res.u_star, 0.5, atol=1e-6)
+        assert np.allclose(res.u_star, 0.5, rtol=0, atol=1e-12)
 
     def test_lie_instance_sum_objective(self):
         inst = five_by_seven_instance(lie=True)
@@ -99,6 +100,16 @@ class TestSolveCes:
         inst = Instance([1.0], [{0}])
         with pytest.raises(ValueError):
             solve_ces(inst, Rho.maxmin())
+
+    @pytest.mark.parametrize("rho", [Rho.finite(-1.0), Rho.one()], ids=str)
+    @pytest.mark.parametrize(
+        "name, value",
+        [("tol_kkt", np.nan), ("tol_kkt", np.inf), ("tol_kkt", 0.0), ("tol_kkt", -1.0), ("max_iter", 0), ("max_iter", -1)],
+    )
+    def test_rejects_invalid_tolerance_or_budget(self, rho, name, value):
+        # Before the check, these ran the whole budget and raised NonConvergence.
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            solve_ces(five_by_seven_instance(), rho, **{name: value})
 
     def test_nonconvergence_error(self):
         inst = five_by_seven_instance()
@@ -348,3 +359,27 @@ class TestSumRegression:
         for _ in range(200):
             inst = random_instance(rng, n_max=8, m_max=6)
             assert_certified_sum(inst, solve_ces(inst, Rho.one()))
+
+
+class TestFiniteRhoInteriorPoint:
+    """Finite-rho solves end in a few dozen interior-point iterations, judged by the oracle."""
+
+    def test_normal_matrix_matches_dense_product(self):
+        rng = np.random.default_rng(41)
+        for n, m in ((4, 4), (6, 4), (40, 12), (200, 50)):
+            W = sparse_instance(rng, n, m).weights
+            h = rng.uniform(0.0, 10.0, W.shape[0])
+            dense = W.T @ (W * h[:, None])
+            assert np.allclose(_normal_matrix(W)(h), dense, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("rv", [-2.0, 0.0, 0.5])
+    def test_no_stall_200x50(self, rv):
+        rho = Rho.finite(rv)
+        for k in range(30):
+            inst = sparse_instance(np.random.default_rng([1, 4, k]), 200, 50)
+            res = solve_ces(inst, rho, max_iter=60)
+            assert kkt_oracle(inst, rho, res.u_star, res.q) <= TOL_KKT, k
+            s = np.array(inst.supplies)
+            gap = np.abs(s - res.u_star @ inst.weights)
+            priced = res.q > TOL_DUAL
+            assert np.all(gap[priced] <= TOL_KKT * np.maximum(1.0, s[priced])), k

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -410,3 +413,49 @@ class TestDynamicsSpotCheck:
                 assert w == pytest.approx(res.objective, rel=1e-4)
                 confirmed += 1
         assert confirmed >= 1
+
+
+class TestSweepRegression:
+    """``deviation_sweep`` at a constructed 200x50 equilibrium, bit for bit.
+
+    ``tests/data/sweep_200x50_rho-2.json`` holds a 200x50 instance drawn like
+    the benchmark's sweep inputs, its rho = -2 equilibrium bids, and each
+    sweep's ``(gain, witness.agent, witness.bids)`` as recorded before the
+    best response was reworked for speed.  The halved profile scales every
+    7th agent's row by 0.5, so those agents gain by responding.
+    """
+
+    DATA = json.loads((Path(__file__).parent / "data" / "sweep_200x50_rho-2.json").read_text())
+
+    @pytest.fixture(scope="class")
+    def game(self):
+        data = self.DATA
+        inst = Instance(
+            data["instance"]["supplies"], [a["desired"] for a in data["instance"]["agents"]]
+        )
+        bids = BidMatrix.from_lists(data["bids"])
+        amounts = bids.amounts.copy()
+        amounts[::7] *= 0.5
+        profiles = {"equilibrium": bids, "halved_every_7th": BidMatrix(amounts, bids.beta)}
+        return inst, CurveFamily.atp(data["rho"], inst.m), profiles
+
+    @pytest.mark.parametrize(
+        "case, profile, seed",
+        [
+            ("equilibrium", "equilibrium", None),
+            ("equilibrium_random_seed15_n20", "equilibrium", 15),
+            ("halved_every_7th", "halved_every_7th", None),
+        ],
+    )
+    def test_sweep_matches_record(self, game, case, profile, seed):
+        inst, f, profiles = game
+        rng = None if seed is None else np.random.default_rng(seed)
+        gain, witness = deviation_sweep(inst, f, profiles[profile], rng=rng, n_random=20)
+        expected = self.DATA["sweeps"][case]
+        assert (gain, witness.agent) == (expected["gain"], expected["agent"])
+        assert ["beta" if b.is_beta else b.amount for b in witness.bids] == expected["bids"]
+
+    def test_best_response_values_match_record(self, game):
+        inst, f, profiles = game
+        got = [best_response(inst, f, profiles["halved_every_7th"], i)[1] for i in range(inst.n)]
+        assert got == self.DATA["halved_every_7th_values"]

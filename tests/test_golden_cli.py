@@ -106,6 +106,16 @@ CASES = {
         ["dynamics", "--rho", "0", "--seed", "7", "--rounds", "5", _in("private_goods.json")],
         EXIT_OK,
     ),
+    # A 40x12 instance drawn like the benchmark's dynamics inputs; ten full
+    # rounds of best responses pin every row the dynamics loop replaces.
+    "dynamics_40x12_rho-2_seed1": (
+        ["dynamics", "--rho", "-2", "--seed", "1", "--rounds", "10", _in("forty_by_twelve.json")],
+        EXIT_OK,
+    ),
+    "dynamics_40x12_rho0.5_seed1": (
+        ["dynamics", "--rho", "0.5", "--seed", "1", "--rounds", "10", _in("forty_by_twelve.json")],
+        EXIT_OK,
+    ),
     # The demos reports pin the writer's other shapes: an empty object
     # ("beneficial_deviations": {}) and objects of ints, floats, bools and null.
     "demos_bad_ne_n3": (["demos", "bad-ne", "--n", "3"], EXIT_OK),

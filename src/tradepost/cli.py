@@ -33,7 +33,7 @@ from .trading_post import (
     BidMatrix,
     CurveFamily,
     PowerCurve,
-    _row_utility,
+    _incumbent_utility,
     atp_allocate,
     best_response,
 )
@@ -172,7 +172,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     for _ in range(args.rounds):
         moved = 0.0
         for i in range(inst.n):
-            before, _ = _row_utility(inst, bids.amounts, bids.beta, i)
+            before = _incumbent_utility(inst, bids, i)
             row, after = best_response(inst, family, bids, i)
             bids = bids.replace_row(i, row)
             moved = max(moved, after - before)

@@ -9,6 +9,7 @@ utilities.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -92,8 +93,8 @@ class Instance:
     def weights(self) -> np.ndarray:
         """Binary n-by-m matrix with 1 where agent i desires good j."""
         w = np.zeros((self.n, self.m))
-        for i, r in enumerate(self.desired):
-            w[i, sorted(r)] = 1.0
+        sizes = [len(r) for r in self.desired]
+        w[np.repeat(np.arange(self.n), sizes), list(itertools.chain.from_iterable(self.desired))] = 1.0
         w.setflags(write=False)
         return w
 

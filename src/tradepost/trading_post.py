@@ -87,14 +87,19 @@ def _as_bid(amount: float, is_beta: bool) -> Bid:
 
 
 def _bid_row(amounts: np.ndarray, beta: np.ndarray) -> tuple[Bid, ...]:
-    """The public view of one (amounts, beta) row."""
-    return tuple(map(_as_bid, amounts.tolist(), beta.tolist()))
+    """The public view of one (amounts, beta) row; only positive cells get their own ``Bid``."""
+    row = [_ZERO_BID] * len(amounts)
+    for j in amounts.nonzero()[0].tolist():
+        row[j] = Bid.positive(amounts[j])
+    for j in beta.nonzero()[0].tolist():
+        row[j] = _BETA_BID
+    return tuple(row)
 
 
 class BidMatrix:
     """An n-by-m matrix of bids, stored as amounts plus a beta mask."""
 
-    __slots__ = ("amounts", "beta")
+    __slots__ = ("amounts", "beta", "_totals", "_rule")
 
     def __init__(self, amounts: np.ndarray, beta: np.ndarray):
         amounts = np.array(amounts, dtype=float)
@@ -106,10 +111,22 @@ class BidMatrix:
         amounts[amounts <= TOL_BID] = 0.0
         if np.any(beta & (amounts > 0)):
             raise ValueError("a bid cannot be both beta and positive")
+        self._freeze(amounts, beta)
+
+    def _freeze(self, amounts: np.ndarray, beta: np.ndarray) -> None:
         amounts.setflags(write=False)
         beta.setflags(write=False)
         self.amounts = amounts
         self.beta = beta
+        # Caches: the column totals, and (instance, utilities) under the full allocation rule.
+        self._totals: np.ndarray | None = None
+        self._rule: tuple[Instance, list[float]] | None = None
+
+    def _column_totals(self) -> np.ndarray:
+        """``amounts.sum(axis=0)``, computed once: the matrix never changes."""
+        if self._totals is None:
+            self._totals = self.amounts.sum(axis=0)
+        return self._totals
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Bid]]) -> "BidMatrix":
@@ -133,13 +150,16 @@ class BidMatrix:
         return _bid_row(self.amounts[i], self.beta[i])
 
     def replace_row(self, i: int, bids: Sequence[Bid]) -> "BidMatrix":
+        """A copy with row ``i`` replaced; each ``Bid`` is valid, so nothing is checked again."""
         if len(bids) != self.m:
             raise ValueError(f"row must have {self.m} entries")
         amounts = self.amounts.copy()
         beta = self.beta.copy()
         amounts[i] = [b.amount for b in bids]
         beta[i] = [b.is_beta for b in bids]
-        return BidMatrix(amounts, beta)
+        out = BidMatrix.__new__(BidMatrix)
+        out._freeze(amounts, beta)
+        return out
 
     def to_lists(self) -> list[list[float | str]]:
         """JSON form: positive numbers, literal 0, or the string "beta"."""
@@ -227,7 +247,7 @@ class PowerCurve:
 class CurveFamily:
     """Per-good power curves, held as read-only ``coeffs`` and ``degrees`` arrays; ``f[j]`` is a view."""
 
-    __slots__ = ("coeffs", "degrees")
+    __slots__ = ("coeffs", "degrees", "_flat")
 
     def __init__(self, curves: Iterable[PowerCurve]):
         pairs = np.array([(c.coeff, c.degree) for c in curves], dtype=float).reshape(-1, 2)
@@ -247,6 +267,9 @@ class CurveFamily:
         coeffs.setflags(write=False)
         degrees.setflags(write=False)
         self.coeffs, self.degrees = coeffs, degrees
+        # The first identically-zero curve, or -1: such a family prices but cannot constrain bids.
+        zero = coeffs == 0
+        self._flat = int(zero.argmax()) if zero.any() else -1
 
     @classmethod
     def atp(cls, rho_value: float, m: int) -> "CurveFamily":
@@ -270,9 +293,8 @@ class CurveFamily:
         return map(PowerCurve, self.coeffs.tolist(), self.degrees.tolist())
 
     def require_constraint_curves(self) -> None:
-        zero = self.coeffs == 0
-        if zero.any():
-            raise ValueError(f"constraint curve for good {zero.argmax()} must be strictly increasing")
+        if self._flat >= 0:
+            raise ValueError(f"constraint curve for good {self._flat} must be strictly increasing")
 
     def cost(self, quantities: Sequence[float]) -> float:
         """Summed curve cost of a nonnegative per-good vector."""
@@ -285,8 +307,9 @@ class CurveFamily:
 
     def cost_rows(self, amounts: np.ndarray) -> np.ndarray:
         """Row-wise cost of an amounts matrix (zeros cost nothing)."""
-        pos = amounts > 0
-        terms = np.where(pos, self.coeffs * np.where(pos, amounts, 1.0) ** self.degrees, 0.0)
+        terms = np.zeros(amounts.shape)
+        np.power(amounts, self.degrees, out=terms, where=amounts > 0)
+        terms *= self.coeffs
         return terms.sum(axis=1)
 
 
@@ -345,10 +368,9 @@ def _run_allocation_rule(
     x = amounts / np.where(priced, col_total, 1.0) * s
 
     # Step 2: each row's duplication level is its first positively-bid good's
-    # step-1 share (0 if the row has no positive bid).
-    has_pos = amounts > 0
-    first_pos = np.argmax(has_pos, axis=1)
-    level = np.where(has_pos.any(axis=1), x[np.arange(n), first_pos], 0.0)
+    # step-1 share.  A row with no positive bid is all zeros in x, so argmax's
+    # column 0 gives it level 0.
+    level = x[np.arange(n), np.argmax(amounts > 0, axis=1)]
     free = ~priced
     over = np.zeros(m, dtype=bool)
     if free.any():
@@ -381,13 +403,38 @@ def _row_utility(
     step-3 mask is returned as well; the mask is ``None`` when it cannot
     concern row ``i``.
     """
-    col_total = amounts.sum(axis=0)
-    priced = col_total > 0
-    if not (beta[i] & ~priced).any():
-        share = amounts[i] / np.where(priced, col_total, 1.0) * inst.supply_array
-        return float(np.where(inst.weights[i] > 0, share, np.inf).min()), None
+    u = _step1_utility(inst, amounts[i], beta[i], i, amounts.sum(axis=0))
+    if u is not None:
+        return u, None
     x, over = _run_allocation_rule(inst, amounts, beta, TOL_FEAS)
-    return float(utilities(inst, x)[i]), over
+    return float(x[i, sorted(inst.desired[i])].min()), over
+
+
+def _step1_utility(
+    inst: Instance, amounts: np.ndarray, beta: np.ndarray, i: int, col_total: np.ndarray
+) -> float | None:
+    """Agent ``i``'s utility from its row's step-1 shares, or ``None`` if it claims beta on a free good."""
+    col = col_total.tolist()
+    if any(col[j] == 0 for j in beta.nonzero()[0].tolist()):
+        return None
+    # The share a / B * s of each desired good, in the same float operations as step 1.
+    row, s = amounts.tolist(), inst.supplies
+    return min(row[j] / col[j] * s[j] if col[j] > 0 else 0.0 for j in inst.desired[i])
+
+
+def _incumbent_utility(inst: Instance, bids: BidMatrix, i: int) -> float:
+    """Agent ``i``'s utility under the allocation rule at the profile ``bids`` itself.
+
+    Both routes of ``_row_utility`` are cached on the matrix, which never
+    changes: its column totals, and every agent's utility under the full rule.
+    """
+    u = _step1_utility(inst, bids.amounts[i], bids.beta[i], i, bids._column_totals())
+    if u is not None:
+        return u
+    if bids._rule is None or bids._rule[0] is not inst:
+        x, _ = _run_allocation_rule(inst, bids.amounts, bids.beta, TOL_FEAS)
+        bids._rule = (inst, utilities(inst, x).tolist())
+    return bids._rule[1][i]
 
 
 def atp_allocate(
@@ -420,6 +467,30 @@ def atp_allocate(
     return Allocation.checked(inst, x, tol=tol_feas)
 
 
+def _max_target(
+    paid_terms: list[tuple[float, float, float, float]], fixed: float, hi: float, tol_t: float
+) -> float:
+    """The largest quantity t in [0, ``hi``] that bisection finds affordable.
+
+    On each paid good (B_j, s_j, coeff_j, degree_j) the agent bids
+    t*B_j/(s_j-t); the summed curve costs plus ``fixed`` must stay within 1.
+    ``hi`` itself is tested first, then midpoints until the bracket is within
+    ``tol_t``.
+    """
+    lo, t_hi, t = 0.0, hi, hi
+    while True:
+        total = 0.0
+        for B_j, s_j, coeff, degree in paid_terms:
+            total += coeff * (t * B_j / (s_j - t)) ** degree
+        if total + fixed <= 1.0:
+            lo = t
+        else:
+            t_hi = t
+        if lo == hi or t_hi - lo <= tol_t:
+            return lo
+        t = 0.5 * (lo + t_hi)
+
+
 def best_response(
     inst: Instance,
     f: CurveFamily,
@@ -441,29 +512,30 @@ def best_response(
     _require_goods(f, inst.m)
     if not 0 <= i < inst.n:
         raise IndexError(f"agent index {i} out of range")
-    s = inst.supply_array
+    m, s = inst.m, inst.supplies
     desired = sorted(inst.desired[i])
     # One working copy: row i zeroed gives the opponents' totals, then holds each candidate row.
     trial_amounts, trial_beta = bids.amounts.copy(), bids.beta.copy()
     trial_amounts[i] = 0.0
-    B = trial_amounts.sum(axis=0)
+    B = trial_amounts.sum(axis=0).tolist()
     paid = [j for j in desired if B[j] > 0]
     free = [j for j in desired if B[j] == 0]
     # Python floats per paid good: the bisection evaluates these ~30 times.
     coeffs, degrees = f.coeffs.tolist(), f.degrees.tolist()
-    paid_terms = [(float(B[j]), float(s[j]), coeffs[j], degrees[j]) for j in paid]
+    paid_terms = [(B[j], s[j], coeffs[j], degrees[j]) for j in paid]
 
-    cap = float(min(s[j] for j in desired))
+    cap = min(s[j] for j in desired)
     hi = cap * (1.0 - 1e-12)
     tol_t = tol_br * max(1.0, cap)
 
     def build_row(t: float, forced_positive: set[int]) -> tuple[np.ndarray, np.ndarray]:
-        amounts = np.zeros(inst.m)
-        beta = np.zeros(inst.m, dtype=bool)
-        anchored = False
-        if t > 0 and paid:
-            amounts[paid] = t * B[paid] / (s[paid] - t)
-            anchored = True
+        amounts = [0.0] * m
+        beta = [False] * m
+        anchored = t > 0 and bool(paid)
+        if anchored:
+            for j, (B_j, s_j, _, _) in zip(paid, paid_terms):
+                amount = t * B_j / (s_j - t)
+                amounts[j] = amount if amount > TOL_BID else 0.0
         for j in free:
             if j in forced_positive:
                 amounts[j] = _MIN_POSITIVE
@@ -474,25 +546,17 @@ def best_response(
             # Beta needs a positively-bid good to copy from.
             amounts[free[0]] = _MIN_POSITIVE
             beta[free[0]] = False
-        amounts[amounts <= TOL_BID] = 0.0
-        return amounts, beta
-
-    def row_cost(t: float, fixed: float) -> float:
-        total = 0.0
-        for B_j, s_j, coeff, degree in paid_terms:
-            total += coeff * (t * B_j / (s_j - t)) ** degree
-        return total + fixed
+        return np.array(amounts), np.array(beta)
 
     def evaluate(row: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray | None]:
         trial_amounts[i], trial_beta[i] = row
         return _row_utility(inst, trial_amounts, trial_beta, i)
 
-    best_row = (np.zeros(inst.m), np.zeros(inst.m, dtype=bool))
+    best_row = (np.zeros(m), np.zeros(m, dtype=bool))
     best_util = 0.0
-    incumbent_row = (bids.amounts[i], bids.beta[i])
     if f.cost_rows(bids.amounts[i : i + 1])[0] <= 1.0 + TOL_FEAS:
-        best_row = incumbent_row
-        best_util, _ = evaluate(incumbent_row)
+        best_row = (bids.amounts[i], bids.beta[i])
+        best_util = _incumbent_utility(inst, bids, i)
 
     forced: set[int] = set()
     for _ in range(len(free) + 1):
@@ -502,17 +566,7 @@ def best_response(
             fixed += coeffs[free[0]] * _MIN_POSITIVE ** degrees[free[0]]
         if fixed > 1.0 + TOL_FEAS:
             break
-        lo, t_hi = 0.0, hi
-        if row_cost(t_hi, fixed) <= 1.0:
-            t_star = t_hi
-        else:
-            while t_hi - lo > tol_t:
-                mid = 0.5 * (lo + t_hi)
-                if row_cost(mid, fixed) <= 1.0:
-                    lo = mid
-                else:
-                    t_hi = mid
-            t_star = lo
+        t_star = _max_target(paid_terms, fixed, hi, tol_t)
         row = build_row(t_star, forced)
         got, over = evaluate(row)
         if got > best_util:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_instance, sparse_instance
 from tradepost import Allocation, Instance, Rho, ces_welfare, utilities, utility
 
 COMMON = dict(deadline=None, derandomize=True)
@@ -17,6 +18,17 @@ class TestInstance:
         assert inst.m == 2
         assert inst.desired[0] == {0, 1}
         assert np.array_equal(inst.weights, [[1.0, 1.0], [0.0, 1.0]])
+
+    def test_weights_match_per_agent_rows(self):
+        rng = np.random.default_rng(41)
+        shapes = [(10, 10)] * 40 + [(1000, 200)]
+        for n, m in shapes:
+            inst = random_instance(rng, n, m) if n <= 10 else sparse_instance(rng, n, m)
+            expected = np.zeros((inst.n, inst.m))
+            for i, goods in enumerate(inst.desired):
+                expected[i, sorted(goods)] = 1.0
+            assert np.array_equal(inst.weights, expected)
+            assert inst.weights.dtype == np.float64 and not inst.weights.flags.writeable
 
     def test_rejects_empty_desired_set(self):
         with pytest.raises(ValueError, match="at least one good"):

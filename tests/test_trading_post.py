@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_instance
+from helpers import random_instance, sparse_instance
 from tradepost import (
     TOL_BID,
     TOL_FEAS,
@@ -22,7 +22,8 @@ from tradepost import (
     bid_cost,
     utilities,
 )
-from tradepost.trading_post import _row_utility, _run_allocation_rule
+from tradepost.equilibrium import _random_row
+from tradepost.trading_post import _MIN_POSITIVE, _incumbent_utility, _row_utility, _run_allocation_rule
 
 COMMON = dict(deadline=None, derandomize=True)
 
@@ -71,6 +72,22 @@ class TestBidMatrix:
         b2 = b.replace_row(0, [Bid.beta()])
         assert b2.bid(0, 0).is_beta
         assert b.bid(0, 0).is_positive
+
+    def test_replace_row_is_a_frozen_copy(self):
+        rows = [[Bid.positive(0.5), Bid.zero(), Bid.beta()], [Bid.zero(), Bid.positive(2.0), Bid.zero()]]
+        b = BidMatrix.from_rows(rows)
+        new_row = (Bid.beta(), Bid.positive(TOL_BID / 2), Bid.positive(0.25))
+        b2 = b.replace_row(1, new_row)
+        assert b2 == BidMatrix.from_rows([rows[0], new_row])
+        assert b == BidMatrix.from_rows(rows)
+        for new, old in ((b2.amounts, b.amounts), (b2.beta, b.beta)):
+            assert not np.shares_memory(new, old)
+            assert not new.flags.writeable
+        with pytest.raises(ValueError):
+            b2.amounts[0, 0] = 1.0
+        for bad in ([Bid.zero()] * 2, [Bid.zero()] * 4):
+            with pytest.raises(ValueError, match="row must have 3 entries"):
+                b.replace_row(0, bad)
 
 
 class TestCurves:
@@ -130,6 +147,19 @@ class TestBidCost:
     def test_power_curve_cost(self):
         f = CurveFamily.atp(-1.0, 2)  # t^2
         assert bid_cost(f, [Bid.positive(1.0), Bid.zero()]) == pytest.approx(1.0)
+
+    def test_cost_rows_matches_elementwise_terms(self):
+        """Each positive cell costs coeff * amount**degree, summed row-wise over the full row."""
+        rng = np.random.default_rng(808)
+        for _ in range(300):
+            n, m = int(rng.integers(1, 40)), int(rng.integers(1, 60))
+            coeffs = rng.uniform(0.0, 3.0, m) * (rng.random(m) < 0.9)
+            degrees = rng.choice([0.001, 0.5, 1.0, 2.0, 3.0, 51.0, float(rng.uniform(0.01, 5.0))], m)
+            f = CurveFamily._from_arrays(coeffs, degrees)
+            amounts = rng.uniform(0.0, 2.0, (n, m)) * (rng.random((n, m)) < 0.4)
+            pos = amounts > 0
+            expected = np.where(pos, coeffs * np.where(pos, amounts, 1.0) ** degrees, 0.0).sum(axis=1)
+            assert np.array_equal(f.cost_rows(amounts), expected)
 
 
 class TestAllocate:
@@ -350,3 +380,60 @@ class TestRowUtility:
                         assert np.array_equal(over, rule_over)
                         seen["penalty" if (over & bids.beta[i]).any() else "slow"] += 1
         assert min(seen[k] for k in ("fast", "slow", "penalty", "trim")) >= 100, seen
+
+    @pytest.mark.parametrize("n, m", [(40, 12), (200, 50)])
+    def test_matches_full_rule_at_benchmark_shapes(self, n, m):
+        """numpy's reduction order depends on the array shape, so check the benchmark's shapes too.
+
+        Each profile is checked through ``_row_utility`` and through
+        ``_incumbent_utility``, which reuses the column totals and full-rule
+        utilities cached on the matrix; the same matrix meets three instances.
+        """
+        rng = np.random.default_rng([606, n, m])
+        seen = Counter()
+        for _ in range(3):
+            inst = sparse_instance(rng, n, m)
+            bids = _profile_with_free_goods(rng, inst, CurveFamily.atp(-2.0, m))
+            claims = _step2_claims(inst, bids.amounts, bids.beta)
+            variants = [inst] + [
+                Instance(np.where(claims > 0, claims * factor, inst.supply_array), inst.desired)
+                for factor in (1.0 - 1e-9, 0.5)
+            ]
+            for v in variants:
+                expected = utilities(v, atp_allocate(v, CurveFamily.linear(m), bids, check_budgets=False))
+                for i in range(n):
+                    got, over = _row_utility(v, bids.amounts, bids.beta, i)
+                    assert got == expected[i]
+                    assert _incumbent_utility(v, bids, i) == expected[i]
+                    seen["fast" if over is None else "penalty" if (over & bids.beta[i]).any() else "slow"] += 1
+        assert min(seen[k] for k in ("fast", "slow", "penalty")) >= 10, seen
+
+
+def _profile_with_free_goods(rng: np.random.Generator, inst: Instance, f: CurveFamily) -> BidMatrix:
+    """Budget-feasible rows as ``tradepost dynamics`` starts them, with a third of the goods unpaid."""
+    rows = [_random_row(inst, f, i, rng) for i in range(inst.n)]
+    amounts = np.array([a for a, _ in rows])
+    amounts[:, rng.random(inst.m) < 1 / 3] = 0.0
+    return BidMatrix(amounts, np.array([b for _, b in rows]))
+
+
+class TestBestResponseValue:
+    """``best_response``'s value is the allocation rule's utility of the returned row, bit for bit."""
+
+    @pytest.mark.parametrize("n, m, count", [(6, 4, 60), (40, 12, 4), (200, 50, 1)])
+    def test_value_is_rule_utility(self, n, m, count):
+        rng = np.random.default_rng([707, n, m])
+        seen = Counter()
+        for k in range(count):
+            inst = sparse_instance(rng, n, m)
+            f = CurveFamily.atp((-2.0, 0.0, 0.5)[k % 3], m)
+            bids = _profile_with_free_goods(rng, inst, f)
+            for i in range(n):
+                row, value = best_response(inst, f, bids, i)
+                after = bids.replace_row(i, row)
+                assert value == utilities(inst, atp_allocate(inst, f, after))[i]
+                assert value == _incumbent_utility(inst, after, i)
+                seen["beta"] += any(b.is_beta for b in row)
+                seen["forced"] += any(b.amount == _MIN_POSITIVE for b in row)
+                seen["paid"] += any(b.amount > _MIN_POSITIVE for b in row)
+        assert min(seen[k] for k in ("beta", "forced", "paid")) >= 20, seen

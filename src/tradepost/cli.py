@@ -6,6 +6,7 @@ failed in assert mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -166,15 +167,17 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     family = CurveFamily.atp(args.rho.value, inst.m)
     rng = np.random.default_rng(args.seed)
     start = [_random_row(inst, family, i, rng) for i in range(inst.n)]
+    # This matrix is the command's own, so play overwrites its rows in place.
     bids = BidMatrix(np.array([a for a, _ in start]), np.array([b for _, b in start]))
     trajectory = []
     converged = False
     for _ in range(args.rounds):
         moved = 0.0
         for i in range(inst.n):
+            # Cached on the matrix: best_response reads the same value.
             before = _incumbent_utility(inst, bids, i)
             row, after = best_response(inst, family, bids, i)
-            bids = bids.replace_row(i, row)
+            bids._overwrite_row(i, row)
             moved = max(moved, after - before)
         welfare = ces_welfare(args.rho, utilities(inst, atp_allocate(inst, family, bids)))
         trajectory.append(welfare)
@@ -236,7 +239,9 @@ def cmd_demos(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(prog="tradepost", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

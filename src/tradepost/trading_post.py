@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import reduce
+from operator import add
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import TOL_FEAS, Allocation, Instance, utilities
+from .core import TOL_FEAS, Allocation, Instance, require_positive
 
 #: Positive bids at or below this are treated as zero, keeping the
 #: proportional rule's denominators away from the denormal range.  The floor
@@ -50,7 +53,7 @@ class Bid:
             raise ValueError("beta bids carry no amount")
         if self.amount < 0 or not math.isfinite(self.amount):
             raise ValueError(f"bid amount must be finite and nonnegative, got {self.amount}")
-        if 0 < self.amount <= TOL_BID:
+        if self.amount <= TOL_BID:  # also turns -0.0 into 0.0
             object.__setattr__(self, "amount", 0.0)
 
     @classmethod
@@ -86,12 +89,26 @@ def _as_bid(amount: float, is_beta: bool) -> Bid:
     return Bid.positive(amount) if amount > 0 else _ZERO_BID
 
 
+def _valid_bid(amount: float) -> Bid:
+    """``Bid.positive(amount)`` for an amount already known to be a float above ``TOL_BID``, without the checks."""
+    bid = object.__new__(Bid)
+    object.__setattr__(bid, "amount", amount)
+    object.__setattr__(bid, "is_beta", False)
+    return bid
+
+
 def _bid_row(amounts: np.ndarray, beta: np.ndarray) -> tuple[Bid, ...]:
-    """The public view of one (amounts, beta) row; only positive cells get their own ``Bid``."""
-    row = [_ZERO_BID] * len(amounts)
-    for j in amounts.nonzero()[0].tolist():
-        row[j] = Bid.positive(amounts[j])
-    for j in beta.nonzero()[0].tolist():
+    """The public view of one (amounts, beta) row."""
+    goods = amounts.nonzero()[0].tolist()
+    return _bid_cells(len(amounts), dict(zip(goods, amounts[goods].tolist())), beta.nonzero()[0].tolist())
+
+
+def _bid_cells(m: int, amounts: dict[int, float], beta: Iterable[int]) -> tuple[Bid, ...]:
+    """The public view of a row given by its cells; only positive cells get their own ``Bid``."""
+    row = [_ZERO_BID] * m
+    for j, amount in amounts.items():
+        row[j] = _valid_bid(amount)
+    for j in beta:
         row[j] = _BETA_BID
     return tuple(row)
 
@@ -99,11 +116,11 @@ def _bid_row(amounts: np.ndarray, beta: np.ndarray) -> tuple[Bid, ...]:
 class BidMatrix:
     """An n-by-m matrix of bids, stored as amounts plus a beta mask."""
 
-    __slots__ = ("amounts", "beta", "_totals", "_rule")
+    __slots__ = ("amounts", "beta", "_rows", "_cols", "_profile")
 
     def __init__(self, amounts: np.ndarray, beta: np.ndarray):
-        amounts = np.array(amounts, dtype=float)
-        beta = np.array(beta, dtype=bool)
+        amounts = np.array(amounts, dtype=float, order="C")
+        beta = np.array(beta, dtype=bool, order="C")
         if amounts.ndim != 2 or beta.shape != amounts.shape:
             raise ValueError("amounts and beta mask must be matching 2-D arrays")
         if np.any(amounts < 0) or not np.all(np.isfinite(amounts)):
@@ -118,15 +135,28 @@ class BidMatrix:
         beta.setflags(write=False)
         self.amounts = amounts
         self.beta = beta
-        # Caches: the column totals, and (instance, utilities) under the full allocation rule.
-        self._totals: np.ndarray | None = None
-        self._rule: tuple[Instance, list[float]] | None = None
+        # Each row's and each column's cells, built on first use.
+        self._rows: list[tuple[dict[int, float], list[int]] | None] = [None] * amounts.shape[0]
+        self._cols: list[_Column | None] = [None] * amounts.shape[1]
+        # Per-profile cache under one instance: (instance, {agent: utility},
+        # {agent: (first positively-bid good or -1, its amount, its step-1 share)}).
+        self._profile: tuple[Instance, dict[int, float], dict[int, tuple[int, float, float]]] | None = None
 
-    def _column_totals(self) -> np.ndarray:
-        """``amounts.sum(axis=0)``, computed once: the matrix never changes."""
-        if self._totals is None:
-            self._totals = self.amounts.sum(axis=0)
-        return self._totals
+    def _row(self, i: int) -> tuple[dict[int, float], list[int]]:
+        """Row ``i``'s cells: {good: amount} of its positive bids, and its beta goods, in good order."""
+        row = self._rows[i]
+        if row is None:
+            goods = self.amounts[i].nonzero()[0].tolist()
+            amounts = dict(zip(goods, self.amounts[i, goods].tolist()))
+            row = self._rows[i] = (amounts, self.beta[i].nonzero()[0].tolist())
+        return row
+
+    def _column(self, j: int) -> "_Column":
+        """Column ``j``'s cells."""
+        col = self._cols[j]
+        if col is None:
+            col = self._cols[j] = _Column.of(self.amounts[:, j], self.beta[:, j])
+        return col
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Bid]]) -> "BidMatrix":
@@ -147,19 +177,63 @@ class BidMatrix:
         return _as_bid(self.amounts[i, j], self.beta[i, j])
 
     def row(self, i: int) -> tuple[Bid, ...]:
-        return _bid_row(self.amounts[i], self.beta[i])
+        return _bid_cells(self.m, *self._row(i))
 
     def replace_row(self, i: int, bids: Sequence[Bid]) -> "BidMatrix":
         """A copy with row ``i`` replaced; each ``Bid`` is valid, so nothing is checked again."""
+        out = BidMatrix.__new__(BidMatrix)
+        out._freeze(self.amounts.copy(), self.beta.copy())
+        out._rows = self._rows.copy()
+        out._cols = self._cols.copy()
+        out._overwrite_row(i, bids)
+        return out
+
+    def _overwrite_row(self, i: int, bids: Sequence[Bid]) -> None:
+        """Replace row ``i`` in place, walking only the old and new rows' cells.
+
+        Built columns that either row touches are replaced by patched ones
+        (columns are never changed, so a copy may share them), and the
+        per-profile cache is dropped.  Matrices are otherwise immutable: only
+        a caller that owns its matrix may do this, as ``tradepost dynamics``
+        does.
+        """
         if len(bids) != self.m:
             raise ValueError(f"row must have {self.m} entries")
-        amounts = self.amounts.copy()
-        beta = self.beta.copy()
-        amounts[i] = [b.amount for b in bids]
-        beta[i] = [b.is_beta for b in bids]
-        out = BidMatrix.__new__(BidMatrix)
-        out._freeze(amounts, beta)
-        return out
+        old_amounts, old_beta = self._row(i)
+        new_amounts: dict[int, float] = {}
+        new_beta: list[int] = []
+        for j, b in enumerate(bids):
+            if b is _ZERO_BID:
+                continue
+            if b.amount > 0:
+                new_amounts[j] = b.amount
+            elif b.is_beta:
+                new_beta.append(j)
+        if new_amounts == old_amounts and new_beta == old_beta:
+            return
+        amounts, beta = self.amounts, self.beta
+        amounts.setflags(write=True)
+        amounts[i] = 0.0
+        for j, amount in new_amounts.items():
+            amounts[i, j] = amount
+        amounts.setflags(write=False)
+        if old_beta or new_beta:
+            beta.setflags(write=True)
+            beta[i] = False
+            for j in new_beta:
+                beta[i, j] = True
+            beta.setflags(write=False)
+        self._rows[i] = (new_amounts, new_beta)
+        cols = self._cols
+        for j in old_amounts.keys() | new_amounts.keys():
+            amount = new_amounts.get(j, 0.0)
+            if cols[j] is not None and amount != old_amounts.get(j, 0.0):
+                cols[j] = cols[j].with_amount(i, amount)
+        if old_beta != new_beta:
+            for j in set(old_beta).symmetric_difference(new_beta):
+                if cols[j] is not None:
+                    cols[j] = cols[j].with_beta(i, j in new_beta)
+        self._profile = None
 
     def to_lists(self) -> list[list[float | str]]:
         """JSON form: positive numbers, literal 0, or the string "beta"."""
@@ -205,6 +279,62 @@ class BidMatrix:
         if not isinstance(other, BidMatrix):
             return NotImplemented
         return bool(np.array_equal(self.amounts, other.amounts) and np.array_equal(self.beta, other.beta))
+
+
+class _Column(NamedTuple):
+    """One bid column: its positive cells' rows and amounts, its beta rows (both in row order), and its total.
+
+    The total is the row-order sum of the amounts, as ``_column_totals``
+    defines it; the sum of the column without row i, or with another amount
+    in row i, is computed from the same cells in the same order.  A column
+    is never changed; ``with_amount`` and ``with_beta`` return new ones.
+    """
+
+    rows: list[int]
+    vals: list[float]
+    brows: list[int]
+    total: float
+
+    @classmethod
+    def of(cls, amounts: np.ndarray, beta: np.ndarray) -> "_Column":
+        rows = amounts.nonzero()[0].tolist()
+        vals = amounts[rows].tolist()
+        return cls(rows, vals, beta.nonzero()[0].tolist(), reduce(add, vals, 0.0))
+
+    def split(self, i: int) -> tuple[float, list[float]]:
+        """The column without row ``i``: the row-order sum of the cells above it, and the amounts below it."""
+        rows, vals = self.rows, self.vals
+        k = bisect_left(rows, i)
+        after = k + 1 if k < len(rows) and rows[k] == i else k
+        return reduce(add, vals[:k], 0.0), vals[after:]
+
+    def total_with(self, i: int, amount: float) -> float:
+        """The total with row ``i``'s cell set to ``amount`` (0.0 drops it)."""
+        above, below = self.split(i)
+        return reduce(add, below, above + amount)
+
+    def claimants(self, i: int) -> list[int]:
+        """The beta rows with row ``i`` among them."""
+        return self.brows if i in self.brows else sorted(self.brows + [i])
+
+    def with_amount(self, i: int, amount: float) -> "_Column":
+        """The column with row ``i``'s cell set to ``amount`` (0.0 drops it)."""
+        rows, vals = self.rows, self.vals
+        k = bisect_left(rows, i)
+        if k < len(rows) and rows[k] == i:
+            if amount > 0:
+                vals = vals.copy()
+                vals[k] = amount
+            else:
+                rows, vals = rows[:k] + rows[k + 1 :], vals[:k] + vals[k + 1 :]
+        else:
+            rows, vals = rows[:k] + [i] + rows[k:], vals[:k] + [amount] + vals[k:]
+        return _Column(rows, vals, self.brows, reduce(add, vals, 0.0))
+
+    def with_beta(self, i: int, is_beta: bool) -> "_Column":
+        """The column with row ``i`` bidding beta or not."""
+        brows = sorted(self.brows + [i]) if is_beta else [k for k in self.brows if k != i]
+        return _Column(self.rows, self.vals, brows, self.total)
 
 
 def _check_curves(coeffs: np.ndarray, degrees: np.ndarray) -> None:
@@ -355,6 +485,21 @@ def _parse_row(i: int, raw: object, m: int) -> tuple[list[float], list[bool]]:
 _STEP3_BAND = 1e-6
 
 
+def _column_totals(amounts: np.ndarray) -> np.ndarray:
+    """Each column's total: its cells added one after another, in row order.
+
+    numpy sums a C-ordered (n, m >= 2) array along axis 0 in exactly this
+    order, one row after another; a single column it sums pairwise instead,
+    so that case is accumulated explicitly.  Amounts are >= 0 and adding +0.0
+    is exact, so a column's total is also the row-order sum of its positive
+    cells alone, which is what lets ``best_response`` read only its own goods'
+    columns and still match ``atp_allocate`` bit for bit.
+    """
+    if amounts.shape[1] == 1:
+        return np.add.accumulate(amounts, axis=0)[-1]
+    return np.ascontiguousarray(amounts).sum(axis=0)
+
+
 def _run_allocation_rule(
     inst: Instance, amounts: np.ndarray, beta: np.ndarray, tol_feas: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -363,7 +508,7 @@ def _run_allocation_rule(
     n, m = inst.n, inst.m
 
     # Unpriced columns hold only zero amounts, so step 1 leaves them at 0.
-    col_total = amounts.sum(axis=0)
+    col_total = _column_totals(amounts)
     priced = col_total > 0
     x = amounts / np.where(priced, col_total, 1.0) * s
 
@@ -377,7 +522,7 @@ def _run_allocation_rule(
         x[:, free] = np.where(beta[:, free], level[:, None], 0.0)
 
         # Step 3, evaluated only after all step-2 allocations are in place.
-        totals = x.sum(axis=0)
+        totals = _column_totals(x)
         band = np.maximum(tol_feas, _STEP3_BAND * np.maximum(1.0, s))
         over = free & (totals > s + band)
         trim = free & ~over & (totals > s)
@@ -403,7 +548,7 @@ def _row_utility(
     step-3 mask is returned as well; the mask is ``None`` when it cannot
     concern row ``i``.
     """
-    u = _step1_utility(inst, amounts[i], beta[i], i, amounts.sum(axis=0))
+    u = _step1_utility(inst, amounts[i], beta[i], i, _column_totals(amounts))
     if u is not None:
         return u, None
     x, over = _run_allocation_rule(inst, amounts, beta, TOL_FEAS)
@@ -420,21 +565,6 @@ def _step1_utility(
     # The share a / B * s of each desired good, in the same float operations as step 1.
     row, s = amounts.tolist(), inst.supplies
     return min(row[j] / col[j] * s[j] if col[j] > 0 else 0.0 for j in inst.desired[i])
-
-
-def _incumbent_utility(inst: Instance, bids: BidMatrix, i: int) -> float:
-    """Agent ``i``'s utility under the allocation rule at the profile ``bids`` itself.
-
-    Both routes of ``_row_utility`` are cached on the matrix, which never
-    changes: its column totals, and every agent's utility under the full rule.
-    """
-    u = _step1_utility(inst, bids.amounts[i], bids.beta[i], i, bids._column_totals())
-    if u is not None:
-        return u
-    if bids._rule is None or bids._rule[0] is not inst:
-        x, _ = _run_allocation_rule(inst, bids.amounts, bids.beta, TOL_FEAS)
-        bids._rule = (inst, utilities(inst, x).tolist())
-    return bids._rule[1][i]
 
 
 def atp_allocate(
@@ -467,6 +597,164 @@ def atp_allocate(
     return Allocation.checked(inst, x, tol=tol_feas)
 
 
+def _profile(inst: Instance, bids: BidMatrix) -> tuple[dict[int, float], dict[int, tuple[int, float, float]]]:
+    """The matrix's per-profile caches under ``inst``: agents' utilities and step-2 levels."""
+    cache = bids._profile
+    if cache is None or cache[0] is not inst:
+        cache = bids._profile = (inst, {}, {})
+    return cache[1], cache[2]
+
+
+def _local_utility(
+    inst: Instance,
+    bids: BidMatrix,
+    i: int,
+    amounts: dict[int, float],
+    beta: list[int],
+    totals: dict[int, float],
+) -> tuple[float, set[int]]:
+    """Agent ``i``'s utility under the allocation rule with its row set to ``amounts`` and ``beta``.
+
+    ``amounts`` maps the row's positively-bid goods to their amounts, ``beta``
+    lists its beta goods, and ``totals`` holds the column totals of the
+    agent's desired goods with this row in place; the other rows are those of
+    ``bids``.  The result is ``atp_allocate``'s, bit for bit, from the
+    columns the row touches: every column total is a row-order sum, as in
+    ``_column_totals``.
+
+    Unless the row claims beta on a good nobody pays for, steps 2 and 3
+    leave it as step 1 made it: a penalty zeroes only the rows of beta
+    bidders on over-claimed free goods, and trimming scales only free
+    columns, where the row holds 0.  Otherwise, on each free good the row
+    claims, step 2's total is the row-order sum of the claimants' levels,
+    each claimant's step-1 share of its first positively-bid good.  One such
+    good over the step-3 band zeroes the row, whether the agent desires it or
+    not; a good within the band but over its supply trims the row's share.
+
+    Also returns the claimed free goods that are over the band.
+    """
+    s = inst.supplies
+    claimed = [j for j in beta if (totals[j] if j in totals else bids._column(j).total_with(i, 0.0)) == 0]
+    shares: dict[int, float] = {}
+    over: set[int] = set()
+    if claimed:
+        _, levels = _profile(inst, bids)
+        # The goods whose column total differs from the profile's own.
+        changed = set(amounts).union(bids._row(i)[0])
+
+        def level(k: int) -> float:
+            if k == i:
+                if not amounts:
+                    return 0.0
+                j0 = min(amounts)
+                amount = amounts[j0]
+            else:
+                if k not in levels:
+                    row = bids._row(k)[0]
+                    if row:
+                        j0 = min(row)
+                        levels[k] = (j0, row[j0], row[j0] / bids._column(j0).total * s[j0])
+                    else:
+                        levels[k] = (-1, 0.0, 0.0)
+                j0, amount, own = levels[k]
+                if j0 not in changed:
+                    return own
+            total = totals[j0] if j0 in totals else bids._column(j0).total_with(i, amounts.get(j0, 0.0))
+            return amount / total * s[j0]
+
+        mine = level(i)
+        for j in claimed:
+            claim = 0.0
+            for k in bids._column(j).claimants(i):
+                claim += mine if k == i else level(k)
+            s_j = s[j]
+            if claim > s_j + max(TOL_FEAS, _STEP3_BAND * max(1.0, s_j)):
+                over.add(j)
+            else:
+                shares[j] = mine * (s_j / claim) if claim > s_j else mine
+        if over:
+            return 0.0, over
+    u = min(amounts.get(j, 0.0) / t * s[j] if t > 0 else shares.get(j, 0.0) for j, t in totals.items())
+    return u, over
+
+
+def _incumbent_utility(inst: Instance, bids: BidMatrix, i: int) -> float:
+    """Agent ``i``'s utility under the allocation rule at the profile ``bids`` itself, cached on the matrix."""
+    utils, _ = _profile(inst, bids)
+    u = utils.get(i)
+    if u is None:
+        totals = {j: bids._column(j).total for j in inst.desired[i]}
+        u = utils[i] = _local_utility(inst, bids, i, *bids._row(i), totals)[0]
+    return u
+
+
+#: Newton steps allowed for ``_band``; it typically needs 2-4.
+_NEWTON_STEPS = 30
+
+#: Half-width of ``_max_target``'s band, as a fraction of the bisection tolerance.
+_BAND = 0.25
+
+
+def _affordable(paid_terms: list[tuple[float, float, float, float]], fixed: float, t: float) -> bool:
+    """Whether target ``t`` keeps the paid goods' summed curve costs plus ``fixed`` within 1."""
+    total = 0.0
+    try:
+        for B_j, s_j, coeff, degree in paid_terms:
+            total += coeff * (t * B_j / (s_j - t)) ** degree
+    except OverflowError:  # a cost beyond float range is beyond the budget
+        return False
+    return total + fixed <= 1.0
+
+
+def _band(paid_terms: list[tuple[float, float, float, float]], fixed: float, hi: float, w: float) -> tuple[float, float]:
+    """Targets a < b in [0, ``hi``] about ``w`` either side of the budget's root, a affordable and b not.
+
+    Alone, good j uses the budget R = 1 - ``fixed`` at t_j = y*s_j/(B_j + y),
+    with y = (R/coeff_j)**(1/degree_j); the root is at most min t_j, and is
+    min t_j for one paid good.  From there, or from ``hi`` if that is lower,
+    Newton's method runs on log cost against log t, which is increasing and
+    convex, so its steps descend onto the root without overshooting.  Each
+    step's cost is summed exactly as ``_affordable`` sums it, so every
+    iterate is also a tested target.  Returns (-inf, inf) when no band is
+    found, for instance when a degree is so small that y under- or
+    overflows.
+    """
+    budget = 1.0 - fixed
+    a, b = -math.inf, math.inf
+    if budget <= 0 or not paid_terms:
+        return a, b
+    try:
+        t = min(y * s_j / (B_j + y) for B_j, s_j, coeff, degree in paid_terms for y in [(budget / coeff) ** (1.0 / degree)])
+        t = min(t, hi)
+        for _ in range(_NEWTON_STEPS):
+            if not 0.0 < t <= hi:  # a rounding step past hi could make a base negative
+                return -math.inf, math.inf
+            total = slope = 0.0
+            for B_j, s_j, coeff, degree in paid_terms:
+                term = coeff * (t * B_j / (s_j - t)) ** degree
+                total += term
+                slope += term * degree * s_j / (s_j - t)
+            if total + fixed <= 1.0:
+                a = t
+                break
+            b = t
+            step = math.log(total / budget) * total / slope
+            t *= math.exp(-step)
+            if t * step <= w:
+                break
+    except (ArithmeticError, ValueError):
+        return -math.inf, math.inf
+    if a < t - w:
+        a = max(t - w, 0.0)
+        if not _affordable(paid_terms, fixed, a):
+            return -math.inf, math.inf
+    if b > t + w:
+        b = min(t + w, hi)
+        if b <= a or _affordable(paid_terms, fixed, b):
+            return -math.inf, math.inf
+    return a, b
+
+
 def _max_target(
     paid_terms: list[tuple[float, float, float, float]], fixed: float, hi: float, tol_t: float
 ) -> float:
@@ -475,20 +763,56 @@ def _max_target(
     On each paid good (B_j, s_j, coeff_j, degree_j) the agent bids
     t*B_j/(s_j-t); the summed curve costs plus ``fixed`` must stay within 1.
     ``hi`` itself is tested first, then midpoints until the bracket is within
-    ``tol_t``.
+    ``tol_t``, or within 4 ulps of ``hi``: a wider bracket's midpoint lies
+    strictly inside it, so the loop always ends.
+
+    The midpoints' tests are replayed, not all evaluated.  The computed cost
+    never falls as t rises: t*B_j, s_j - t, their quotient, the power and the
+    sum each round monotonically (for the power, libm's ``pow`` is taken to
+    be monotone in its base).  So with a < b from ``_band``, a affordable
+    and b not, a midpoint at or below a is affordable and one at or above b
+    is not; only midpoints between them are evaluated, and ``lo`` is what
+    evaluating every midpoint gives.  Without a band every midpoint is
+    evaluated.  The band never reaches past ``hi``: past a supply the base
+    turns negative and ``**`` returns a complex number.
     """
-    lo, t_hi, t = 0.0, hi, hi
-    while True:
-        total = 0.0
-        for B_j, s_j, coeff, degree in paid_terms:
-            total += coeff * (t * B_j / (s_j - t)) ** degree
-        if total + fixed <= 1.0:
+    a, b = _band(paid_terms, fixed, hi, _BAND * tol_t)
+    if hi <= a or (hi < b and _affordable(paid_terms, fixed, hi)):
+        return hi
+    tol_t = max(tol_t, 4.0 * math.ulp(hi))
+    lo, t_hi = 0.0, hi
+    while t_hi - lo > tol_t:
+        t = 0.5 * (lo + t_hi)
+        if t <= a or (t < b and _affordable(paid_terms, fixed, t)):
             lo = t
         else:
             t_hi = t
-        if lo == hi or t_hi - lo <= tol_t:
-            return lo
-        t = 0.5 * (lo + t_hi)
+    return lo
+
+
+#: Relative distance from the budget limit beyond which a Python sum of a
+#: row's curve costs settles which side of the limit ``cost_rows`` puts it.
+_COST_SLACK = 1e-10
+
+
+def _within_budget(f: CurveFamily, bids: BidMatrix, i: int, coeffs: list[float], degrees: list[float]) -> bool:
+    """Whether ``f.cost_rows`` puts row ``i`` of ``bids`` within 1 + ``TOL_FEAS``.
+
+    The row's positive terms are summed in Python first.  numpy's power
+    routine and pairwise sum differ from that by a few ulps per term, which
+    for any row is far below ``_COST_SLACK``; only a sum that close to the
+    limit is left to ``cost_rows`` itself.
+    """
+    limit = 1.0 + TOL_FEAS
+    total = 0.0
+    try:
+        for j, amount in bids._row(i)[0].items():
+            total += coeffs[j] * amount ** degrees[j]
+    except OverflowError:  # numpy's sum is inf
+        return False
+    if abs(total - limit) > _COST_SLACK * limit:
+        return total < limit
+    return bool(f.cost_rows(bids.amounts[i : i + 1])[0] <= limit)
 
 
 def best_response(
@@ -506,58 +830,64 @@ def best_response(
     so the best affordable target is found by bisection.  Goods no opponent
     pays for are claimed with beta when the step-3 check tolerates it, and
     otherwise with a minimal positive bid (any positive amount wins the whole
-    supply there, so the smallest valid bid is cost-optimal).
+    supply there, so the smallest valid bid is cost-optimal).  ``tol_br``
+    must be finite and > 0.
+
+    Only the columns of the agent's desired goods are read, plus, for a beta
+    claim on a free good, the columns that claim's step-2 check needs.
+
+    The candidates are ranked from utility 0, and the incumbent row is
+    weighed last.  Ranking from the incumbent's utility u0 instead, as a
+    within-budget incumbent would be, picks the same row: if some candidate
+    beats u0, both rankings end on the first candidate of the highest
+    utility, which beats every earlier record; if none does, the incumbent
+    stands, and the within-budget check below runs only then.
     """
+    require_positive(tol_br=tol_br)
     f.require_constraint_curves()
     _require_goods(f, inst.m)
+    if bids.n != inst.n or bids.m != inst.m:
+        raise ValueError(f"bid matrix shape ({bids.n}, {bids.m}) != ({inst.n}, {inst.m})")
     if not 0 <= i < inst.n:
         raise IndexError(f"agent index {i} out of range")
     m, s = inst.m, inst.supplies
     desired = sorted(inst.desired[i])
-    # One working copy: row i zeroed gives the opponents' totals, then holds each candidate row.
-    trial_amounts, trial_beta = bids.amounts.copy(), bids.beta.copy()
-    trial_amounts[i] = 0.0
-    B = trial_amounts.sum(axis=0).tolist()
-    paid = [j for j in desired if B[j] > 0]
-    free = [j for j in desired if B[j] == 0]
-    # Python floats per paid good: the bisection evaluates these ~30 times.
+    # Each desired good's column without row i, and from it the opponents' total.
+    splits = [bids._column(j).split(i) for j in desired]
+    B = [reduce(add, below, above) for above, below in splits]
+    paid = [j for j, B_j in zip(desired, B) if B_j > 0]
+    free = [j for j, B_j in zip(desired, B) if B_j == 0]
+    # Python floats per paid good: the bisection evaluates these several times.
     coeffs, degrees = f.coeffs.tolist(), f.degrees.tolist()
-    paid_terms = [(B[j], s[j], coeffs[j], degrees[j]) for j in paid]
+    paid_terms = [(B_j, s[j], coeffs[j], degrees[j]) for j, B_j in zip(desired, B) if B_j > 0]
 
     cap = min(s[j] for j in desired)
     hi = cap * (1.0 - 1e-12)
     tol_t = tol_br * max(1.0, cap)
 
-    def build_row(t: float, forced_positive: set[int]) -> tuple[np.ndarray, np.ndarray]:
-        amounts = [0.0] * m
-        beta = [False] * m
+    def build_row(t: float, forced_positive: set[int]) -> tuple[dict[int, float], list[int]]:
+        amounts: dict[int, float] = {}
+        beta: list[int] = []
         anchored = t > 0 and bool(paid)
         if anchored:
             for j, (B_j, s_j, _, _) in zip(paid, paid_terms):
                 amount = t * B_j / (s_j - t)
-                amounts[j] = amount if amount > TOL_BID else 0.0
+                if amount > TOL_BID:
+                    amounts[j] = amount
         for j in free:
             if j in forced_positive:
                 amounts[j] = _MIN_POSITIVE
                 anchored = True
             else:
-                beta[j] = True
+                beta.append(j)
         if free and not anchored:
             # Beta needs a positively-bid good to copy from.
             amounts[free[0]] = _MIN_POSITIVE
-            beta[free[0]] = False
-        return np.array(amounts), np.array(beta)
+            beta.remove(free[0])
+        return amounts, beta
 
-    def evaluate(row: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray | None]:
-        trial_amounts[i], trial_beta[i] = row
-        return _row_utility(inst, trial_amounts, trial_beta, i)
-
-    best_row = (np.zeros(m), np.zeros(m, dtype=bool))
+    best_row: tuple[dict[int, float], list[int]] = ({}, [])
     best_util = 0.0
-    if f.cost_rows(bids.amounts[i : i + 1])[0] <= 1.0 + TOL_FEAS:
-        best_row = (bids.amounts[i], bids.beta[i])
-        best_util = _incumbent_utility(inst, bids, i)
-
     forced: set[int] = set()
     for _ in range(len(free) + 1):
         # The minimal positive bids cost the same whatever the target.
@@ -568,7 +898,11 @@ def best_response(
             break
         t_star = _max_target(paid_terms, fixed, hi, tol_t)
         row = build_row(t_star, forced)
-        got, over = evaluate(row)
+        totals = {
+            j: reduce(add, below, above + row[0][j]) if j in row[0] else B_j
+            for j, B_j, (above, below) in zip(desired, B, splits)
+        }
+        got, over = _local_utility(inst, bids, i, *row, totals)
         if got > best_util:
             best_util = got
             best_row = row
@@ -576,13 +910,14 @@ def best_response(
             break
         # A beta claim got penalized or under-delivered: force a positive bid
         # on every free good whose step-2 claims broke the supply constraint.
-        # (A row with a beta claim on a free good always gets the rule's mask.)
-        row_beta = row[1]
-        newly = {j for j in free if j not in forced and row_beta[j] and over[j]}
+        newly = {j for j in row[1] if j in over}
         if not newly:
             newly = {j for j in free if j not in forced}
             if not newly:
                 break
         forced |= newly
 
-    return _bid_row(*best_row), best_util
+    incumbent = _incumbent_utility(inst, bids, i)
+    if best_util <= incumbent and _within_budget(f, bids, i, coeffs, degrees):
+        return bids.row(i), incumbent
+    return _bid_cells(m, *best_row), best_util

@@ -428,6 +428,22 @@ class TestNumpyOnly:
         assert read(out)["command"] == "solve"
 
 
+class TestParserReuse:
+    """The parser is built once per process; a parse error leaves nothing behind for the next call."""
+
+    def test_parse_error_then_solve_matches_a_fresh_run(self, counterexample_path, tmp_path):
+        assert cli_module._build_parser() is cli_module._build_parser()
+        out = tmp_path / "out.json"
+        assert main(["solve", "--rho"]) == EXIT_PARSE
+        assert main(["solve", "--rho", "-1", "-o", str(out), counterexample_path]) == EXIT_OK
+        fresh = tmp_path / "fresh.json"
+        src = str(Path(tradepost.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["solve", "--rho", "-1", "-o", str(fresh), counterexample_path]
+        subprocess.run([sys.executable, "-m", "tradepost", *argv], env=env, check=True)
+        assert out.read_bytes() == fresh.read_bytes()
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, counterexample_path, tmp_path):
         out1 = tmp_path / "a.json"

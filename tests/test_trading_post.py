@@ -23,7 +23,16 @@ from tradepost import (
     utilities,
 )
 from tradepost.equilibrium import _random_row
-from tradepost.trading_post import _MIN_POSITIVE, _incumbent_utility, _row_utility, _run_allocation_rule
+from tradepost.trading_post import (
+    _BAND,
+    _MIN_POSITIVE,
+    _band,
+    _column_totals,
+    _incumbent_utility,
+    _max_target,
+    _row_utility,
+    _run_allocation_rule,
+)
 
 COMMON = dict(deadline=None, derandomize=True)
 
@@ -88,6 +97,63 @@ class TestBidMatrix:
         for bad in ([Bid.zero()] * 2, [Bid.zero()] * 4):
             with pytest.raises(ValueError, match="row must have 3 entries"):
                 b.replace_row(0, bad)
+
+
+    def test_in_place_play_matches_copies(self):
+        """``_overwrite_row`` patches the caches it keeps; play on one matrix equals play on copies."""
+        rng = np.random.default_rng(515)
+        inst = sparse_instance(rng, 30, 8)
+        f = CurveFamily.atp(-2.0, inst.m)
+        copied = _profile_with_free_goods(rng, inst, f)
+        owned = BidMatrix(copied.amounts, copied.beta)
+        for _ in range(3):
+            for i in range(inst.n):
+                row, after = best_response(inst, f, owned, i)
+                assert (row, after) == best_response(inst, f, copied, i)
+                owned._overwrite_row(i, row)
+                copied = copied.replace_row(i, row)
+                assert owned == copied
+        assert not owned.amounts.flags.writeable and not owned.beta.flags.writeable
+        fresh = BidMatrix(owned.amounts, owned.beta)
+        assert [owned._column(j) for j in range(inst.m)] == [fresh._column(j) for j in range(inst.m)]
+        assert [owned._row(i) for i in range(inst.n)] == [fresh._row(i) for i in range(inst.n)]
+
+    def test_replace_row_leaves_the_source_caches(self):
+        rows = [[Bid.positive(0.5), Bid.beta()], [Bid.positive(2.0), Bid.zero()], [Bid.zero(), Bid.beta()]]
+        b = BidMatrix.from_rows(rows)
+        before = [b._column(j) for j in range(2)] + [b._row(i) for i in range(3)]
+        b2 = b.replace_row(1, [Bid.beta(), Bid.positive(0.25)])
+        assert b2._column(0) == BidMatrix(b2.amounts, b2.beta)._column(0)
+        b2._overwrite_row(0, [Bid.zero(), Bid.positive(1.0)])
+        assert [b._column(j) for j in range(2)] + [b._row(i) for i in range(3)] == before
+        assert b == BidMatrix.from_rows(rows)
+        assert b2 == BidMatrix.from_rows([[Bid.zero(), Bid.positive(1.0)], [Bid.beta(), Bid.positive(0.25)], rows[2]])
+
+
+class TestColumnTotals:
+    """A column total is its cells added in row order; best responses rely on it to read single columns."""
+
+    @pytest.mark.parametrize("n, m", [(40, 12), (200, 50), (1000, 200), (3000, 500)])
+    def test_numpy_sums_columns_in_row_order(self, n, m):
+        rng = np.random.default_rng([808, n, m])
+        amounts = rng.random((n, m)) * (rng.random((n, m)) < 0.05)
+        totals = _column_totals(amounts)
+        assert np.array_equal(totals, amounts.sum(axis=0))
+        bids = BidMatrix(amounts, np.zeros((n, m), dtype=bool))
+        assert totals.tolist() == [bids._column(j).total for j in range(m)]
+
+    def test_fortran_order_and_single_column_in_row_order(self):
+        rng = np.random.default_rng(809)
+        for shape in ((1000, 1), (200, 1), (9, 1), (200, 50)):
+            amounts = rng.random(shape) * (rng.random(shape) < 0.5)
+            expected = []
+            for column in amounts.T.tolist():
+                total = 0.0
+                for v in column:
+                    total += v
+                expected.append(total)
+            assert _column_totals(amounts).tolist() == expected
+            assert _column_totals(np.asfortranarray(amounts)).tolist() == expected
 
 
 class TestCurves:
@@ -309,6 +375,83 @@ class TestBestResponse:
         assert value > 0.5
 
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        inst = Instance([1.0, 1.0], [{0, 1}, {0, 1}])
+        b = BidMatrix.from_rows([[Bid.positive(0.25), Bid.positive(0.25)], [Bid.positive(0.5), Bid.positive(0.5)]])
+        with pytest.raises(ValueError, match="tol_br"):
+            best_response(inst, CurveFamily.linear(2), b, 0, tol_br=tol)
+
+    def test_tolerance_below_float_spacing_ends(self):
+        """No bracket gets within 1e-300; the bisection stops at the finest one it can split."""
+        inst = Instance([1.0, 1.0], [{0, 1}, {0, 1}])
+        b = BidMatrix.from_rows([[Bid.positive(0.25), Bid.positive(0.25)], [Bid.positive(0.5), Bid.positive(0.5)]])
+        # Bidding t*0.5/(1-t) on both goods costs t/(1-t), so t = 1/2 uses the whole budget.
+        _, value = best_response(inst, CurveFamily.linear(2), b, 0, tol_br=1e-300)
+        assert value == pytest.approx(0.5, rel=1e-14)
+
+    def test_overflowing_cost_is_unaffordable(self):
+        # Degree 51 near the whole supply: the cost leaves float range and the target is out of budget.
+        inst = Instance([1.0], [{0}, {0}])
+        f = CurveFamily.atp(-50.0, 1)
+        b = BidMatrix.from_rows([[Bid.zero()], [Bid.positive(0.5)]])
+        row, value = best_response(inst, f, b, 0)
+        assert value == utilities(inst, atp_allocate(inst, f, b.replace_row(0, row)))[0]
+        assert value == pytest.approx(2.0 / 3.0, rel=1e-7)
+
+
+def _plain_bisection(paid_terms, fixed, hi, tol_t):
+    """``_max_target`` as a loop that evaluates every midpoint: the oracle for its band."""
+    lo, t_hi, t = 0.0, hi, hi
+    while True:
+        total = 0.0
+        for B_j, s_j, coeff, degree in paid_terms:
+            total += coeff * (t * B_j / (s_j - t)) ** degree
+        if total + fixed <= 1.0:
+            lo = t
+        else:
+            t_hi = t
+        if lo == hi or t_hi - lo <= tol_t:
+            return lo
+        t = 0.5 * (lo + t_hi)
+
+
+class TestMaxTarget:
+    """Replaying the bisection from a band finds exactly the target that testing every midpoint finds."""
+
+    @pytest.mark.parametrize("degree", [3.0, 1.0, 0.5, 0.1, 1e-3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_equals_plain_bisection(self, k, degree):
+        rng = np.random.default_rng([909, k, int(1 / degree)])
+        seen = Counter()
+        for case in range(160):
+            s = rng.integers(1, 6, k).astype(float)
+            coeffs = rng.uniform(0.2, 2.0, k)
+            degrees = np.full(k, degree) if case % 2 else degree * rng.uniform(0.5, 2.0, k)
+            fixed = 0.0 if case % 3 == 0 else float(rng.uniform(0.0, 0.9))
+            cap = float(s.min()) if case % 5 else float(s.min()) * 0.5
+            hi = cap * (1.0 - 1e-12)
+            tol_t = (1e-8, 1e-6, 1e-12)[case % 3] * max(1.0, cap)
+            B = rng.uniform(0.01, 3.0, k) * 10 ** rng.uniform(-2, 1, k)
+            if case % 7 == 0:  # opponents bid almost nothing: hi is affordable
+                B *= 1e-13
+            elif case % 7 == 1 and case % 2:  # the budget runs out a hair below hi
+                t = hi - 0.5 * _BAND * tol_t * rng.random()
+                x = t * B / (s - t)
+                B *= ((1.0 - fixed) / float(np.sum(coeffs * x**degree))) ** (1.0 / degree)
+            terms = list(zip(B.tolist(), s.tolist(), coeffs.tolist(), degrees.tolist()))
+            expected = _plain_bisection(terms, fixed, hi, tol_t)
+            assert _max_target(terms, fixed, hi, tol_t) == expected
+            a, b = _band(terms, fixed, hi, _BAND * tol_t)
+            seen["hi affordable" if expected == hi else "band" if b < math.inf else "no band"] += 1
+            seen["band at hi"] += b == hi
+        assert seen["band"] >= 40 and seen["hi affordable"] >= 5, seen
+        if degree >= 0.1:
+            assert seen["band at hi"] >= 1, seen
+        else:  # y = (R/coeff)**1000 under- or overflows: every midpoint is tested
+            assert seen["no band"] >= 40, seen
+
+
 def test_allocation_is_deterministic():
     inst = Instance([1.0, 2.0, 0.5], [{0, 1}, {1, 2}, {0, 2}])
     f = CurveFamily.atp(0.0, 3)
@@ -437,3 +580,64 @@ class TestBestResponseValue:
                 seen["forced"] += any(b.amount == _MIN_POSITIVE for b in row)
                 seen["paid"] += any(b.amount > _MIN_POSITIVE for b in row)
         assert min(seen[k] for k in ("beta", "forced", "paid")) >= 20, seen
+
+    def test_value_is_rule_utility_single_good(self):
+        """With one good numpy sums a column pairwise; the rule and ``best_response`` both add rows in order."""
+        rng = np.random.default_rng([707, 1])
+        for k in range(24):
+            n = int(rng.integers(9, 80))
+            inst = Instance([float(rng.integers(1, 6))], [{0}] * n)
+            f = CurveFamily.atp((-2.0, 0.0, 0.5)[k % 3], 1)
+            amounts = rng.uniform(0.01, 1.0, (n, 1)) * (rng.random((n, 1)) < 0.8)
+            bids = BidMatrix(amounts, np.zeros((n, 1), dtype=bool))
+            for i in range(n):
+                row, value = best_response(inst, f, bids, i)
+                after = bids.replace_row(i, row)
+                assert value == utilities(inst, atp_allocate(inst, f, after))[i]
+                assert value == _incumbent_utility(inst, after, i)
+
+
+def _rough_profile(rng: np.random.Generator, inst: Instance, f: CurveFamily) -> BidMatrix:
+    """Rows that the profile generators never draw: some over budget, and beta claims on undesired free goods."""
+    bids = _profile_with_free_goods(rng, inst, f)
+    amounts, beta = bids.amounts.copy(), bids.beta.copy()
+    free = np.flatnonzero(amounts.sum(axis=0) == 0)
+    for i in range(inst.n):
+        if rng.random() < 0.25:
+            amounts[i] *= rng.uniform(1.5, 4.0)
+        for j in free:
+            if j not in inst.desired[i] and rng.random() < 0.3:
+                beta[i, j] = True
+    return BidMatrix(amounts, beta)
+
+
+class TestRoughProfiles:
+    """``best_response`` and the incumbent's utility on over-budget rows and undesired beta claims, some over-claimed."""
+
+    @pytest.mark.parametrize("n, m, count", [(8, 5, 40), (40, 12, 4), (200, 50, 1)])
+    def test_values_are_rule_utilities(self, n, m, count):
+        rng = np.random.default_rng([717, n, m])
+        seen = Counter()
+        for k in range(count):
+            inst = sparse_instance(rng, n, m)
+            f = CurveFamily.atp((-2.0, 0.0, 0.5)[k % 3], m)
+            bids = _rough_profile(rng, inst, f)
+            claims = _step2_claims(inst, bids.amounts, bids.beta)
+            variants = [inst] + [
+                Instance(np.where(claims > 0, claims * factor, inst.supply_array), inst.desired)
+                for factor in (1.0 - 1e-9, 0.5)
+            ]
+            over_budget = f.cost_rows(bids.amounts) > 1.0 + TOL_FEAS
+            for v in variants:
+                expected = utilities(v, atp_allocate(v, f, bids, check_budgets=False))
+                _, over = _run_allocation_rule(v, bids.amounts, bids.beta, TOL_FEAS)
+                for i in range(n):
+                    assert _incumbent_utility(v, bids, i) == expected[i]
+                    row, value = best_response(v, f, bids, i)
+                    after = bids.replace_row(i, row)
+                    assert value == utilities(v, atp_allocate(v, f, after, check_budgets=False))[i]
+                    undesired = [j for j in np.flatnonzero(bids.beta[i] & (claims > 0)) if j not in v.desired[i]]
+                    seen["over budget"] += bool(over_budget[i])
+                    seen["undesired claim"] += bool(undesired)
+                    seen["penalized by an undesired claim"] += any(over[j] for j in undesired)
+        assert min(seen.values()) >= 5 and len(seen) == 3, seen

@@ -98,9 +98,9 @@ def _valid_bid(amount: float) -> Bid:
 
 
 def _bid_row(amounts: np.ndarray, beta: np.ndarray) -> tuple[Bid, ...]:
-    """The public view of one (amounts, beta) row."""
-    goods = amounts.nonzero()[0].tolist()
-    return _bid_cells(len(amounts), dict(zip(goods, amounts[goods].tolist())), beta.nonzero()[0].tolist())
+    """The public view of one (amounts, beta) row whose amounts are 0 or above ``TOL_BID``."""
+    goods = amounts.nonzero()[0]
+    return _bid_cells(len(amounts), dict(zip(goods.tolist(), amounts[goods].tolist())), beta.nonzero()[0].tolist())
 
 
 def _bid_cells(m: int, amounts: dict[int, float], beta: Iterable[int]) -> tuple[Bid, ...]:
@@ -146,9 +146,9 @@ class BidMatrix:
         """Row ``i``'s cells: {good: amount} of its positive bids, and its beta goods, in good order."""
         row = self._rows[i]
         if row is None:
-            goods = self.amounts[i].nonzero()[0].tolist()
-            amounts = dict(zip(goods, self.amounts[i, goods].tolist()))
-            row = self._rows[i] = (amounts, self.beta[i].nonzero()[0].tolist())
+            amounts = self.amounts[i]
+            goods = amounts.nonzero()[0]
+            row = self._rows[i] = (dict(zip(goods.tolist(), amounts[goods].tolist())), self.beta[i].nonzero()[0].tolist())
         return row
 
     def _column(self, j: int) -> "_Column":
@@ -226,9 +226,10 @@ class BidMatrix:
         self._rows[i] = (new_amounts, new_beta)
         cols = self._cols
         for j in old_amounts.keys() | new_amounts.keys():
+            col = cols[j]
             amount = new_amounts.get(j, 0.0)
-            if cols[j] is not None and amount != old_amounts.get(j, 0.0):
-                cols[j] = cols[j].with_amount(i, amount)
+            if col is not None and amount != old_amounts.get(j, 0.0):
+                cols[j] = col.with_amount(i, amount)
         if old_beta != new_beta:
             for j in set(old_beta).symmetric_difference(new_beta):
                 if cols[j] is not None:
@@ -297,9 +298,9 @@ class _Column(NamedTuple):
 
     @classmethod
     def of(cls, amounts: np.ndarray, beta: np.ndarray) -> "_Column":
-        rows = amounts.nonzero()[0].tolist()
+        rows = amounts.nonzero()[0]
         vals = amounts[rows].tolist()
-        return cls(rows, vals, beta.nonzero()[0].tolist(), reduce(add, vals, 0.0))
+        return cls(rows.tolist(), vals, beta.nonzero()[0].tolist(), reduce(add, vals, 0.0))
 
     def split(self, i: int) -> tuple[float, list[float]]:
         """The column without row ``i``: the row-order sum of the cells above it, and the amounts below it."""
@@ -798,10 +799,11 @@ _COST_SLACK = 1e-10
 def _within_budget(f: CurveFamily, bids: BidMatrix, i: int, coeffs: list[float], degrees: list[float]) -> bool:
     """Whether ``f.cost_rows`` puts row ``i`` of ``bids`` within 1 + ``TOL_FEAS``.
 
-    The row's positive terms are summed in Python first.  numpy's power
-    routine and pairwise sum differ from that by a few ulps per term, which
-    for any row is far below ``_COST_SLACK``; only a sum that close to the
-    limit is left to ``cost_rows`` itself.
+    The row's positive terms are summed in Python first.  The terms are >= 0;
+    numpy's power routine rounds each a few ulps differently, and its
+    pairwise sum differs from a running sum by at most m ulps of the total.
+    Both are far below ``_COST_SLACK`` for any row of fewer than 10^5 goods,
+    so only a sum that close to the limit is left to ``cost_rows`` itself.
     """
     limit = 1.0 + TOL_FEAS
     total = 0.0
@@ -850,16 +852,25 @@ def best_response(
         raise ValueError(f"bid matrix shape ({bids.n}, {bids.m}) != ({inst.n}, {inst.m})")
     if not 0 <= i < inst.n:
         raise IndexError(f"agent index {i} out of range")
-    m, s = inst.m, inst.supplies
+    s = inst.supplies
     desired = sorted(inst.desired[i])
-    # Each desired good's column without row i, and from it the opponents' total.
-    splits = [bids._column(j).split(i) for j in desired]
-    B = [reduce(add, below, above) for above, below in splits]
-    paid = [j for j, B_j in zip(desired, B) if B_j > 0]
-    free = [j for j, B_j in zip(desired, B) if B_j == 0]
-    # Python floats per paid good: the bisection evaluates these several times.
     coeffs, degrees = f.coeffs.tolist(), f.degrees.tolist()
-    paid_terms = [(B_j, s[j], coeffs[j], degrees[j]) for j, B_j in zip(desired, B) if B_j > 0]
+    # Each desired good's column without row i: the sum above row i, the
+    # amounts below it, and so the opponents' total B_j.  Python floats per
+    # paid good: the bisection evaluates these several times.
+    splits: dict[int, tuple[float, list[float], float]] = {}
+    paid: list[int] = []
+    free: list[int] = []
+    paid_terms: list[tuple[float, float, float, float]] = []
+    for j in desired:
+        above, below = bids._column(j).split(i)
+        B_j = reduce(add, below, above)
+        splits[j] = (above, below, B_j)
+        if B_j > 0:
+            paid.append(j)
+            paid_terms.append((B_j, s[j], coeffs[j], degrees[j]))
+        else:
+            free.append(j)
 
     cap = min(s[j] for j in desired)
     hi = cap * (1.0 - 1e-12)
@@ -898,10 +909,7 @@ def best_response(
             break
         t_star = _max_target(paid_terms, fixed, hi, tol_t)
         row = build_row(t_star, forced)
-        totals = {
-            j: reduce(add, below, above + row[0][j]) if j in row[0] else B_j
-            for j, B_j, (above, below) in zip(desired, B, splits)
-        }
+        totals = {j: reduce(add, below, above + row[0][j]) if j in row[0] else B_j for j, (above, below, B_j) in splits.items()}
         got, over = _local_utility(inst, bids, i, *row, totals)
         if got > best_util:
             best_util = got
@@ -920,4 +928,4 @@ def best_response(
     incumbent = _incumbent_utility(inst, bids, i)
     if best_util <= incumbent and _within_budget(f, bids, i, coeffs, degrees):
         return bids.row(i), incumbent
-    return _bid_cells(m, *best_row), best_util
+    return _bid_cells(inst.m, *best_row), best_util

@@ -25,6 +25,7 @@ from .trading_post import (
     CurveFamily,
     PowerCurve,
     _bid_row,
+    _column_totals,
     _require_goods,
     _row_utility,
     atp_allocate,
@@ -251,7 +252,7 @@ def tp_to_pce(
     report = verify_tp_ne(inst, f, bids, tol=tol)
     if not report.is_ne:
         raise NotAnEquilibrium(f"bid profile is not an equilibrium: {report.violated_condition}")
-    col = bids.amounts.sum(axis=0)
+    col = _column_totals(bids.amounts)
     # float_power rounds as libm's pow does; np.power's SIMD loop can differ in the last bit.
     coeffs = np.where(col > 0, f.coeffs * np.float_power(col / inst.supply_array, f.degrees), 0.0)
     x = atp_allocate(inst, f, bids)

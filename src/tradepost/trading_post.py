@@ -148,7 +148,8 @@ class BidMatrix:
         if row is None:
             amounts = self.amounts[i]
             goods = amounts.nonzero()[0]
-            row = self._rows[i] = (dict(zip(goods.tolist(), amounts[goods].tolist())), self.beta[i].nonzero()[0].tolist())
+            cells = dict(zip(goods.tolist(), amounts[goods].tolist()))
+            row = self._rows[i] = (cells, self.beta[i].nonzero()[0].tolist())
         return row
 
     def _column(self, j: int) -> "_Column":
@@ -707,7 +708,9 @@ def _affordable(paid_terms: list[tuple[float, float, float, float]], fixed: floa
     return total + fixed <= 1.0
 
 
-def _band(paid_terms: list[tuple[float, float, float, float]], fixed: float, hi: float, w: float) -> tuple[float, float]:
+def _band(
+    paid_terms: list[tuple[float, float, float, float]], fixed: float, hi: float, w: float
+) -> tuple[float, float]:
     """Targets a < b in [0, ``hi``] about ``w`` either side of the budget's root, a affordable and b not.
 
     Alone, good j uses the budget R = 1 - ``fixed`` at t_j = y*s_j/(B_j + y),
@@ -725,8 +728,10 @@ def _band(paid_terms: list[tuple[float, float, float, float]], fixed: float, hi:
     if budget <= 0 or not paid_terms:
         return a, b
     try:
-        t = min(y * s_j / (B_j + y) for B_j, s_j, coeff, degree in paid_terms for y in [(budget / coeff) ** (1.0 / degree)])
-        t = min(t, hi)
+        t = hi
+        for B_j, s_j, coeff, degree in paid_terms:
+            y = (budget / coeff) ** (1.0 / degree)
+            t = min(t, y * s_j / (B_j + y))
         for _ in range(_NEWTON_STEPS):
             if not 0.0 < t <= hi:  # a rounding step past hi could make a base negative
                 return -math.inf, math.inf
@@ -909,7 +914,10 @@ def best_response(
             break
         t_star = _max_target(paid_terms, fixed, hi, tol_t)
         row = build_row(t_star, forced)
-        totals = {j: reduce(add, below, above + row[0][j]) if j in row[0] else B_j for j, (above, below, B_j) in splits.items()}
+        totals = {
+            j: reduce(add, below, above + row[0][j]) if j in row[0] else B_j
+            for j, (above, below, B_j) in splits.items()
+        }
         got, over = _local_utility(inst, bids, i, *row, totals)
         if got > best_util:
             best_util = got

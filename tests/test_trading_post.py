@@ -98,7 +98,6 @@ class TestBidMatrix:
             with pytest.raises(ValueError, match="row must have 3 entries"):
                 b.replace_row(0, bad)
 
-
     def test_in_place_play_matches_copies(self):
         """``_overwrite_row`` patches the caches it keeps; play on one matrix equals play on copies."""
         rng = np.random.default_rng(515)
@@ -127,7 +126,8 @@ class TestBidMatrix:
         b2._overwrite_row(0, [Bid.zero(), Bid.positive(1.0)])
         assert [b._column(j) for j in range(2)] + [b._row(i) for i in range(3)] == before
         assert b == BidMatrix.from_rows(rows)
-        assert b2 == BidMatrix.from_rows([[Bid.zero(), Bid.positive(1.0)], [Bid.beta(), Bid.positive(0.25)], rows[2]])
+        new_rows = [[Bid.zero(), Bid.positive(1.0)], [Bid.beta(), Bid.positive(0.25)], rows[2]]
+        assert b2 == BidMatrix.from_rows(new_rows)
 
 
 class TestColumnTotals:
@@ -374,7 +374,6 @@ class TestBestResponse:
         assert row[1].is_positive
         assert value > 0.5
 
-
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_tolerance(self, tol):
         inst = Instance([1.0, 1.0], [{0, 1}, {0, 1}])
@@ -598,7 +597,7 @@ class TestBestResponseValue:
 
 
 def _rough_profile(rng: np.random.Generator, inst: Instance, f: CurveFamily) -> BidMatrix:
-    """Rows that the profile generators never draw: some over budget, and beta claims on undesired free goods."""
+    """Rows the profile generators never draw: some over budget, some with beta on undesired free goods."""
     bids = _profile_with_free_goods(rng, inst, f)
     amounts, beta = bids.amounts.copy(), bids.beta.copy()
     free = np.flatnonzero(amounts.sum(axis=0) == 0)
@@ -612,7 +611,7 @@ def _rough_profile(rng: np.random.Generator, inst: Instance, f: CurveFamily) -> 
 
 
 class TestRoughProfiles:
-    """``best_response`` and the incumbent's utility on over-budget rows and undesired beta claims, some over-claimed."""
+    """Values on over-budget rows and on beta claims on undesired goods, some of them over-claimed."""
 
     @pytest.mark.parametrize("n, m, count", [(8, 5, 40), (40, 12, 4), (200, 50, 1)])
     def test_values_are_rule_utilities(self, n, m, count):

@@ -381,6 +381,23 @@ class TestBestResponse:
         with pytest.raises(ValueError, match="tol_br"):
             best_response(inst, CurveFamily.linear(2), b, 0, tol_br=tol)
 
+    @pytest.mark.parametrize("delta", [-1e-11, -2e-16, 0.0, 2e-16, 1e-11])
+    def test_incumbent_budget_at_the_limit(self, delta):
+        """An incumbent that beats every candidate stands exactly when ``cost_rows`` keeps it within budget."""
+        inst = Instance([1.0, 1.0], [{0, 1}, {0, 1}])
+        f = CurveFamily.linear(2)
+        limit = 1.0 + TOL_FEAS
+        rows = [[Bid.positive(0.5), Bid.positive(limit - 0.5 + delta)], [Bid.positive(0.5), Bid.positive(0.5)]]
+        b = BidMatrix.from_rows(rows)
+        row, _ = best_response(inst, f, b, 0)
+        assert (row == b.row(0)) == (f.cost_rows(b.amounts[:1])[0] <= limit)
+
+    def test_rejects_mismatched_matrix(self):
+        inst = Instance([1.0, 1.0], [{0, 1}, {0, 1}])
+        b = BidMatrix.from_rows([[Bid.positive(0.5)], [Bid.positive(0.5)]])
+        with pytest.raises(ValueError, match="shape"):
+            best_response(inst, CurveFamily.linear(2), b, 0)
+
     def test_tolerance_below_float_spacing_ends(self):
         """No bracket gets within 1e-300; the bisection stops at the finest one it can split."""
         inst = Instance([1.0, 1.0], [{0, 1}, {0, 1}])

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -24,10 +26,10 @@ from .trading_post import (
     BidMatrix,
     CurveFamily,
     PowerCurve,
-    _bid_row,
+    _bid_cells,
     _column_totals,
+    _local_utility,
     _require_goods,
-    _row_utility,
     atp_allocate,
     best_response,
 )
@@ -150,13 +152,17 @@ def deviation_sweep(
             best_gain, witness = gain, DeviationWitness(i, row, gain)
         if rng is None or n_random <= 0:
             continue
-        amounts, beta = bids.amounts.copy(), bids.beta.copy()
+        # Each desired good's column without row i: the sum above it and the amounts below it.
+        splits = {j: bids._column(j).split(i) for j in inst.desired[i]}
         for _ in range(n_random):
-            amounts[i], beta[i] = _random_row(inst, f, i, rng)
-            amounts[i, amounts[i] <= TOL_BID] = 0.0
-            gain = _row_utility(inst, amounts, beta, i)[0] - base[i]
+            amounts, beta = _random_row(inst, f, i, rng)
+            goods = (amounts > TOL_BID).nonzero()[0].tolist()
+            cells = dict(zip(goods, amounts[goods].tolist()))
+            claims = beta.nonzero()[0].tolist()
+            totals = {j: reduce(add, below, above + cells.get(j, 0.0)) for j, (above, below) in splits.items()}
+            gain = _local_utility(inst, bids, i, cells, claims, totals)[0] - base[i]
             if gain > best_gain:
-                best_gain, witness = gain, DeviationWitness(i, _bid_row(amounts[i], beta[i]), gain)
+                best_gain, witness = gain, DeviationWitness(i, _bid_cells(inst.m, cells, claims), gain)
 
     return best_gain, witness
 

@@ -97,12 +97,6 @@ def _valid_bid(amount: float) -> Bid:
     return bid
 
 
-def _bid_row(amounts: np.ndarray, beta: np.ndarray) -> tuple[Bid, ...]:
-    """The public view of one (amounts, beta) row whose amounts are 0 or above ``TOL_BID``."""
-    goods = amounts.nonzero()[0]
-    return _bid_cells(len(amounts), dict(zip(goods.tolist(), amounts[goods].tolist())), beta.nonzero()[0].tolist())
-
-
 def _bid_cells(m: int, amounts: dict[int, float], beta: Iterable[int]) -> tuple[Bid, ...]:
     """The public view of a row given by its cells; only positive cells get their own ``Bid``."""
     row = [_ZERO_BID] * m
@@ -537,38 +531,6 @@ def _run_allocation_rule(
     return x, over
 
 
-def _row_utility(
-    inst: Instance, amounts: np.ndarray, beta: np.ndarray, i: int
-) -> tuple[float, np.ndarray | None]:
-    """Agent ``i``'s utility under the allocation rule, exactly as ``atp_allocate`` gives it.
-
-    Unless row ``i`` claims beta on a good nobody pays for, steps 2 and 3
-    leave the row as step 1 made it: a penalty zeroes only the rows of beta
-    bidders on over-claimed free goods, and trimming scales only free
-    columns, where the row holds 0.  The row then takes the same operations
-    as in step 1 and nothing more.  Otherwise the full rule runs, and its
-    step-3 mask is returned as well; the mask is ``None`` when it cannot
-    concern row ``i``.
-    """
-    u = _step1_utility(inst, amounts[i], beta[i], i, _column_totals(amounts))
-    if u is not None:
-        return u, None
-    x, over = _run_allocation_rule(inst, amounts, beta, TOL_FEAS)
-    return float(x[i, sorted(inst.desired[i])].min()), over
-
-
-def _step1_utility(
-    inst: Instance, amounts: np.ndarray, beta: np.ndarray, i: int, col_total: np.ndarray
-) -> float | None:
-    """Agent ``i``'s utility from its row's step-1 shares, or ``None`` if it claims beta on a free good."""
-    col = col_total.tolist()
-    if any(col[j] == 0 for j in beta.nonzero()[0].tolist()):
-        return None
-    # The share a / B * s of each desired good, in the same float operations as step 1.
-    row, s = amounts.tolist(), inst.supplies
-    return min(row[j] / col[j] * s[j] if col[j] > 0 else 0.0 for j in inst.desired[i])
-
-
 def atp_allocate(
     inst: Instance,
     f: CurveFamily,
@@ -690,13 +652,6 @@ def _incumbent_utility(inst: Instance, bids: BidMatrix, i: int) -> float:
     return u
 
 
-#: Newton steps allowed for ``_band``; it typically needs 2-4.
-_NEWTON_STEPS = 30
-
-#: Half-width of ``_max_target``'s band, as a fraction of the bisection tolerance.
-_BAND = 0.25
-
-
 def _affordable(paid_terms: list[tuple[float, float, float, float]], fixed: float, t: float) -> bool:
     """Whether target ``t`` keeps the paid goods' summed curve costs plus ``fixed`` within 1."""
     total = 0.0
@@ -708,59 +663,6 @@ def _affordable(paid_terms: list[tuple[float, float, float, float]], fixed: floa
     return total + fixed <= 1.0
 
 
-def _band(
-    paid_terms: list[tuple[float, float, float, float]], fixed: float, hi: float, w: float
-) -> tuple[float, float]:
-    """Targets a < b in [0, ``hi``] about ``w`` either side of the budget's root, a affordable and b not.
-
-    Alone, good j uses the budget R = 1 - ``fixed`` at t_j = y*s_j/(B_j + y),
-    with y = (R/coeff_j)**(1/degree_j); the root is at most min t_j, and is
-    min t_j for one paid good.  From there, or from ``hi`` if that is lower,
-    Newton's method runs on log cost against log t, which is increasing and
-    convex, so its steps descend onto the root without overshooting.  Each
-    step's cost is summed exactly as ``_affordable`` sums it, so every
-    iterate is also a tested target.  Returns (-inf, inf) when no band is
-    found, for instance when a degree is so small that y under- or
-    overflows.
-    """
-    budget = 1.0 - fixed
-    a, b = -math.inf, math.inf
-    if budget <= 0 or not paid_terms:
-        return a, b
-    try:
-        t = hi
-        for B_j, s_j, coeff, degree in paid_terms:
-            y = (budget / coeff) ** (1.0 / degree)
-            t = min(t, y * s_j / (B_j + y))
-        for _ in range(_NEWTON_STEPS):
-            if not 0.0 < t <= hi:  # a rounding step past hi could make a base negative
-                return -math.inf, math.inf
-            total = slope = 0.0
-            for B_j, s_j, coeff, degree in paid_terms:
-                term = coeff * (t * B_j / (s_j - t)) ** degree
-                total += term
-                slope += term * degree * s_j / (s_j - t)
-            if total + fixed <= 1.0:
-                a = t
-                break
-            b = t
-            step = math.log(total / budget) * total / slope
-            t *= math.exp(-step)
-            if t * step <= w:
-                break
-    except (ArithmeticError, ValueError):
-        return -math.inf, math.inf
-    if a < t - w:
-        a = max(t - w, 0.0)
-        if not _affordable(paid_terms, fixed, a):
-            return -math.inf, math.inf
-    if b > t + w:
-        b = min(t + w, hi)
-        if b <= a or _affordable(paid_terms, fixed, b):
-            return -math.inf, math.inf
-    return a, b
-
-
 def _max_target(
     paid_terms: list[tuple[float, float, float, float]], fixed: float, hi: float, tol_t: float
 ) -> float:
@@ -769,57 +671,21 @@ def _max_target(
     On each paid good (B_j, s_j, coeff_j, degree_j) the agent bids
     t*B_j/(s_j-t); the summed curve costs plus ``fixed`` must stay within 1.
     ``hi`` itself is tested first, then midpoints until the bracket is within
-    ``tol_t``, or within 4 ulps of ``hi``: a wider bracket's midpoint lies
-    strictly inside it, so the loop always ends.
-
-    The midpoints' tests are replayed, not all evaluated.  The computed cost
-    never falls as t rises: t*B_j, s_j - t, their quotient, the power and the
-    sum each round monotonically (for the power, libm's ``pow`` is taken to
-    be monotone in its base).  So with a < b from ``_band``, a affordable
-    and b not, a midpoint at or below a is affordable and one at or above b
-    is not; only midpoints between them are evaluated, and ``lo`` is what
-    evaluating every midpoint gives.  Without a band every midpoint is
-    evaluated.  The band never reaches past ``hi``: past a supply the base
-    turns negative and ``**`` returns a complex number.
+    ``tol_t``, or until its midpoint rounds to one of its ends: a bracket
+    that narrow cannot be split further.
     """
-    a, b = _band(paid_terms, fixed, hi, _BAND * tol_t)
-    if hi <= a or (hi < b and _affordable(paid_terms, fixed, hi)):
+    if _affordable(paid_terms, fixed, hi):
         return hi
-    tol_t = max(tol_t, 4.0 * math.ulp(hi))
     lo, t_hi = 0.0, hi
     while t_hi - lo > tol_t:
         t = 0.5 * (lo + t_hi)
-        if t <= a or (t < b and _affordable(paid_terms, fixed, t)):
+        if t == lo or t == t_hi:
+            break
+        if _affordable(paid_terms, fixed, t):
             lo = t
         else:
             t_hi = t
     return lo
-
-
-#: Relative distance from the budget limit beyond which a Python sum of a
-#: row's curve costs settles which side of the limit ``cost_rows`` puts it.
-_COST_SLACK = 1e-10
-
-
-def _within_budget(f: CurveFamily, bids: BidMatrix, i: int, coeffs: list[float], degrees: list[float]) -> bool:
-    """Whether ``f.cost_rows`` puts row ``i`` of ``bids`` within 1 + ``TOL_FEAS``.
-
-    The row's positive terms are summed in Python first.  The terms are >= 0;
-    numpy's power routine rounds each a few ulps differently, and its
-    pairwise sum differs from a running sum by at most m ulps of the total.
-    Both are far below ``_COST_SLACK`` for any row of fewer than 10^5 goods,
-    so only a sum that close to the limit is left to ``cost_rows`` itself.
-    """
-    limit = 1.0 + TOL_FEAS
-    total = 0.0
-    try:
-        for j, amount in bids._row(i)[0].items():
-            total += coeffs[j] * amount ** degrees[j]
-    except OverflowError:  # numpy's sum is inf
-        return False
-    if abs(total - limit) > _COST_SLACK * limit:
-        return total < limit
-    return bool(f.cost_rows(bids.amounts[i : i + 1])[0] <= limit)
 
 
 def best_response(
@@ -934,6 +800,6 @@ def best_response(
         forced |= newly
 
     incumbent = _incumbent_utility(inst, bids, i)
-    if best_util <= incumbent and _within_budget(f, bids, i, coeffs, degrees):
+    if best_util <= incumbent and f.cost_rows(bids.amounts[i : i + 1])[0] <= 1.0 + TOL_FEAS:
         return bids.row(i), incumbent
     return _bid_cells(inst.m, *best_row), best_util

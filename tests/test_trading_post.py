@@ -24,13 +24,11 @@ from tradepost import (
 )
 from tradepost.equilibrium import _random_row
 from tradepost.trading_post import (
-    _BAND,
     _MIN_POSITIVE,
-    _band,
     _column_totals,
     _incumbent_utility,
+    _local_utility,
     _max_target,
-    _row_utility,
     _run_allocation_rule,
 )
 
@@ -417,7 +415,7 @@ class TestBestResponse:
 
 
 def _plain_bisection(paid_terms, fixed, hi, tol_t):
-    """``_max_target`` as a loop that evaluates every midpoint: the oracle for its band."""
+    """The bisection as it was before it could end on a bracket too narrow to split: the oracle."""
     lo, t_hi, t = 0.0, hi, hi
     while True:
         total = 0.0
@@ -433,7 +431,7 @@ def _plain_bisection(paid_terms, fixed, hi, tol_t):
 
 
 class TestMaxTarget:
-    """Replaying the bisection from a band finds exactly the target that testing every midpoint finds."""
+    """Wherever the loop without the split check ends, ``_max_target`` finds the same target."""
 
     @pytest.mark.parametrize("degree", [3.0, 1.0, 0.5, 0.1, 1e-3])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -452,20 +450,29 @@ class TestMaxTarget:
             if case % 7 == 0:  # opponents bid almost nothing: hi is affordable
                 B *= 1e-13
             elif case % 7 == 1 and case % 2:  # the budget runs out a hair below hi
-                t = hi - 0.5 * _BAND * tol_t * rng.random()
+                t = hi - 0.1 * tol_t * rng.random()
                 x = t * B / (s - t)
                 B *= ((1.0 - fixed) / float(np.sum(coeffs * x**degree))) ** (1.0 / degree)
             terms = list(zip(B.tolist(), s.tolist(), coeffs.tolist(), degrees.tolist()))
             expected = _plain_bisection(terms, fixed, hi, tol_t)
             assert _max_target(terms, fixed, hi, tol_t) == expected
-            a, b = _band(terms, fixed, hi, _BAND * tol_t)
-            seen["hi affordable" if expected == hi else "band" if b < math.inf else "no band"] += 1
-            seen["band at hi"] += b == hi
-        assert seen["band"] >= 40 and seen["hi affordable"] >= 5, seen
-        if degree >= 0.1:
-            assert seen["band at hi"] >= 1, seen
-        else:  # y = (R/coeff)**1000 under- or overflows: every midpoint is tested
-            assert seen["no band"] >= 40, seen
+            seen["hi affordable" if expected == hi else "bisected"] += 1
+        assert seen["bisected"] >= 40 and seen["hi affordable"] >= 5, seen
+
+    @pytest.mark.parametrize("ulps", [1.0, 2.0, 3.5])
+    def test_tolerance_of_a_few_ulps(self, ulps):
+        """At a tolerance of a few ulps of ``hi``, where the plain loop still ends, the target is the same."""
+        rng = np.random.default_rng([911, int(2 * ulps)])
+        for case in range(200):
+            k = int(rng.integers(1, 5))
+            s = rng.integers(1, 6, k).astype(float)
+            degrees = rng.uniform(0.5, 2.0, k)
+            fixed = 0.0 if case % 2 else float(rng.uniform(0.0, 0.9))
+            hi = float(s.min()) * (1.0 - 1e-12)
+            B = rng.uniform(0.01, 3.0, k) * 10 ** rng.uniform(-2, 1, k)
+            terms = list(zip(B.tolist(), s.tolist(), rng.uniform(0.2, 2.0, k).tolist(), degrees.tolist()))
+            tol_t = ulps * math.ulp(hi)
+            assert _max_target(terms, fixed, hi, tol_t) == _plain_bisection(terms, fixed, hi, tol_t)
 
 
 def test_allocation_is_deterministic():
@@ -507,8 +514,38 @@ def _step2_claims(inst: Instance, amounts: np.ndarray, beta: np.ndarray) -> np.n
     return np.where(col == 0, (beta * level[:, None]).sum(axis=0), 0.0)
 
 
+def _row_utility(inst: Instance, bids: BidMatrix, i: int, amounts: np.ndarray, beta: np.ndarray):
+    """``_local_utility`` of agent ``i`` with its row of ``bids`` set to these (amounts, beta) arrays."""
+    goods = amounts.nonzero()[0].tolist()
+    cells = dict(zip(goods, amounts[goods].tolist()))
+    totals = {j: bids._column(j).total_with(i, cells.get(j, 0.0)) for j in inst.desired[i]}
+    return _local_utility(inst, bids, i, cells, beta.nonzero()[0].tolist(), totals)
+
+
+def _with_row(bids: BidMatrix, i: int, amounts: np.ndarray, beta: np.ndarray) -> BidMatrix:
+    a, b = bids.amounts.copy(), bids.beta.copy()
+    a[i], b[i] = amounts, beta
+    return BidMatrix(a, b)
+
+
 class TestRowUtility:
-    """The single-row evaluator equals the full rule's utility bit for bit."""
+    """The single-row evaluator equals the full rule's utility bit for bit.
+
+    Each agent is scored with its own row and with another row in its place,
+    against ``atp_allocate`` on the profile that row makes; the over-claimed
+    goods it reports are the rule's step-3 mask on the row's beta claims.
+    """
+
+    @staticmethod
+    def _check(v: Instance, bids: BidMatrix, i: int, amounts: np.ndarray, beta: np.ndarray, seen: Counter) -> None:
+        after = _with_row(bids, i, amounts, beta)
+        expected = utilities(v, atp_allocate(v, CurveFamily.linear(v.m), after, check_budgets=False))[i]
+        _, rule_over = _run_allocation_rule(v, after.amounts, after.beta, TOL_FEAS)
+        got, over = _row_utility(v, bids, i, after.amounts[i], after.beta[i])
+        assert got == expected
+        assert over == set(np.flatnonzero(rule_over & after.beta[i]).tolist())
+        claimed = (after.beta[i] & (_column_totals(after.amounts) == 0)).any()
+        seen["penalty" if over else "slow" if claimed else "fast"] += 1
 
     def test_matches_full_rule(self):
         rng = np.random.default_rng(606)
@@ -516,6 +553,7 @@ class TestRowUtility:
         for _ in range(400):
             inst = random_instance(rng, n_max=7, m_max=6)
             amounts, beta = _random_profile(rng, inst)
+            others = _random_profile(rng, inst)
             claims = _step2_claims(inst, amounts, beta)
             # The same profile where every claimed free good is a hair short of
             # its claims (so step 3 trims it) or well short (so it penalizes).
@@ -525,34 +563,28 @@ class TestRowUtility:
                 variants.append(Instance(supplies, inst.desired))
             for v in variants:
                 bids = BidMatrix(amounts, beta)
-                x = atp_allocate(v, CurveFamily.linear(v.m), bids, check_budgets=False)
                 _, rule_over = _run_allocation_rule(v, bids.amounts, bids.beta, TOL_FEAS)
-                expected = utilities(v, x)
-                trimmed = (claims > v.supply_array) & ~rule_over
-                seen["trim"] += int(trimmed.any())
+                seen["trim"] += int(((claims > v.supply_array) & ~rule_over).any())
                 for i in range(v.n):
-                    got, over = _row_utility(v, bids.amounts, bids.beta, i)
-                    assert got == expected[i]
-                    if over is None:
-                        seen["fast"] += 1
-                    else:
-                        assert np.array_equal(over, rule_over)
-                        seen["penalty" if (over & bids.beta[i]).any() else "slow"] += 1
+                    self._check(v, bids, i, amounts[i], beta[i], seen)
+                    self._check(v, bids, i, others[0][i], others[1][i], seen)
         assert min(seen[k] for k in ("fast", "slow", "penalty", "trim")) >= 100, seen
 
     @pytest.mark.parametrize("n, m", [(40, 12), (200, 50)])
     def test_matches_full_rule_at_benchmark_shapes(self, n, m):
         """numpy's reduction order depends on the array shape, so check the benchmark's shapes too.
 
-        Each profile is checked through ``_row_utility`` and through
-        ``_incumbent_utility``, which reuses the column totals and full-rule
-        utilities cached on the matrix; the same matrix meets three instances.
+        Each agent is scored with its own row, also through
+        ``_incumbent_utility``, and with a random row as ``deviation_sweep``
+        draws them; the caches on the matrix are reused across agents, and the
+        same matrix meets three instances.
         """
         rng = np.random.default_rng([606, n, m])
         seen = Counter()
         for _ in range(3):
             inst = sparse_instance(rng, n, m)
-            bids = _profile_with_free_goods(rng, inst, CurveFamily.atp(-2.0, m))
+            f = CurveFamily.atp(-2.0, m)
+            bids = _profile_with_free_goods(rng, inst, f)
             claims = _step2_claims(inst, bids.amounts, bids.beta)
             variants = [inst] + [
                 Instance(np.where(claims > 0, claims * factor, inst.supply_array), inst.desired)
@@ -561,10 +593,11 @@ class TestRowUtility:
             for v in variants:
                 expected = utilities(v, atp_allocate(v, CurveFamily.linear(m), bids, check_budgets=False))
                 for i in range(n):
-                    got, over = _row_utility(v, bids.amounts, bids.beta, i)
-                    assert got == expected[i]
+                    self._check(v, bids, i, bids.amounts[i], bids.beta[i], seen)
                     assert _incumbent_utility(v, bids, i) == expected[i]
-                    seen["fast" if over is None else "penalty" if (over & bids.beta[i]).any() else "slow"] += 1
+                    amounts, beta = _random_row(v, f, i, rng)
+                    amounts[amounts <= TOL_BID] = 0.0
+                    self._check(v, bids, i, amounts, beta, seen)
         assert min(seen[k] for k in ("fast", "slow", "penalty")) >= 10, seen
 
 

@@ -177,7 +177,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
             # Cached on the matrix: best_response reads the same value.
             before = _incumbent_utility(inst, bids, i)
             row, after = best_response(inst, family, bids, i)
-            bids._overwrite_row(i, row)
+            bids._overwrite_row(i, *row)
             moved = max(moved, after - before)
         welfare = ces_welfare(args.rho, utilities(inst, atp_allocate(inst, family, bids)))
         trajectory.append(welfare)

@@ -226,8 +226,8 @@ def utility(inst: Instance, i: int, x_i: Sequence[float]) -> float:
     v = np.asarray(x_i, dtype=float)
     if v.shape != (inst.m,):
         raise ValueError(f"bundle must have {inst.m} entries")
-    if np.any(v < 0):
-        raise ValueError("bundle entries must be nonnegative")
+    if np.any(v < 0) or not np.all(np.isfinite(v)):
+        raise ValueError("bundle entries must be finite and nonnegative")
     return float(min(v[j] for j in inst.desired[i]))
 
 

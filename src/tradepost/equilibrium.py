@@ -22,14 +22,13 @@ from .core import Allocation, Instance, Rho, ces_welfare, require_positive, util
 from .solver import TOL_DUAL, SolveResult, solve_ces
 from .trading_post import (
     TOL_BID,
-    Bid,
     BidMatrix,
     CurveFamily,
     PowerCurve,
-    _bid_cells,
     _column_totals,
     _local_utility,
     _require_goods,
+    _row_arrays,
     atp_allocate,
     best_response,
 )
@@ -42,10 +41,16 @@ class NotAnEquilibrium(ValueError):
     """Input to a reduction failed its equilibrium precondition."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeviationWitness:
+    """An agent's improving row, as its length-m ``amounts`` and ``beta`` arrays, and its gain.
+
+    Witnesses compare by identity: ``==`` on two arrays has no single truth value.
+    """
+
     agent: int
-    bids: tuple[Bid, ...]
+    amounts: np.ndarray
+    beta: np.ndarray
     gain: float
 
 
@@ -149,7 +154,7 @@ def deviation_sweep(
         row, value = best_response(inst, f, bids, i)
         gain = value - base[i]
         if gain > best_gain:
-            best_gain, witness = gain, DeviationWitness(i, row, gain)
+            best_gain, witness = gain, DeviationWitness(i, *row, gain)
         if rng is None or n_random <= 0:
             continue
         # Each desired good's column without row i: the sum above it and the amounts below it.
@@ -162,7 +167,7 @@ def deviation_sweep(
             totals = {j: reduce(add, below, above + cells.get(j, 0.0)) for j, (above, below) in splits.items()}
             gain = _local_utility(inst, bids, i, cells, claims, totals)[0] - base[i]
             if gain > best_gain:
-                best_gain, witness = gain, DeviationWitness(i, _bid_cells(inst.m, cells, claims), gain)
+                best_gain, witness = gain, DeviationWitness(i, *_row_arrays(inst.m, cells, claims), gain)
 
     return best_gain, witness
 

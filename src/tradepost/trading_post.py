@@ -9,7 +9,6 @@ cost must not exceed 1.
 """
 from __future__ import annotations
 
-import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -41,74 +40,44 @@ class InfeasibleBid(ValueError):
         super().__init__(f"agent {agent} bid cost {cost!r} exceeds budget 1")
 
 
-@dataclass(frozen=True)
-class Bid:
-    """A single bid: zero, beta, or a positive amount."""
+def _check_cells(amounts: np.ndarray, beta: np.ndarray) -> None:
+    """The one validity rule for bids, on an amounts array and a beta mask of one shape.
 
-    amount: float = 0.0
-    is_beta: bool = False
-
-    def __post_init__(self) -> None:
-        if self.is_beta and self.amount != 0.0:
-            raise ValueError("beta bids carry no amount")
-        if self.amount < 0 or not math.isfinite(self.amount):
-            raise ValueError(f"bid amount must be finite and nonnegative, got {self.amount}")
-        if self.amount <= TOL_BID:  # also turns -0.0 into 0.0
-            object.__setattr__(self, "amount", 0.0)
-
-    @classmethod
-    def zero(cls) -> "Bid":
-        return cls(0.0, False)
-
-    @classmethod
-    def beta(cls) -> "Bid":
-        return cls(0.0, True)
-
-    @classmethod
-    def positive(cls, amount: float) -> "Bid":
-        return cls(float(amount), False)
-
-    @property
-    def is_positive(self) -> bool:
-        return self.amount > 0
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.is_beta and self.amount == 0.0
+    Each cell is a positive amount, 0, or beta (amount 0 with the mask set):
+    amounts must be finite and nonnegative, and no cell is both beta and
+    positive.  Amounts at or below ``TOL_BID``, -0.0 among them, are set to 0
+    in place.
+    """
+    if np.any(amounts < 0) or not np.all(np.isfinite(amounts)):
+        raise ValueError("bid amounts must be finite and nonnegative")
+    amounts[amounts <= TOL_BID] = 0.0
+    if np.any(beta & (amounts > 0)):
+        raise ValueError("a bid cannot be both beta and positive")
 
 
-#: Bid is frozen, so every zero or beta cell can share one instance.
-_ZERO_BID = Bid.zero()
-_BETA_BID = Bid.beta()
+def _cells(amounts: np.ndarray, beta: np.ndarray) -> tuple[dict[int, float], list[int]]:
+    """A row's cells: {good: amount} of its positive bids, and its beta goods, in good order."""
+    goods = amounts.nonzero()[0]
+    return dict(zip(goods.tolist(), amounts[goods].tolist())), beta.nonzero()[0].tolist()
 
 
-def _as_bid(amount: float, is_beta: bool) -> Bid:
-    """The public cell view of one (amount, beta) matrix entry."""
-    if is_beta:
-        return _BETA_BID
-    return Bid.positive(amount) if amount > 0 else _ZERO_BID
-
-
-def _valid_bid(amount: float) -> Bid:
-    """``Bid.positive(amount)`` for an amount already known to be a float above ``TOL_BID``, without the checks."""
-    bid = object.__new__(Bid)
-    object.__setattr__(bid, "amount", amount)
-    object.__setattr__(bid, "is_beta", False)
-    return bid
-
-
-def _bid_cells(m: int, amounts: dict[int, float], beta: Iterable[int]) -> tuple[Bid, ...]:
-    """The public view of a row given by its cells; only positive cells get their own ``Bid``."""
-    row = [_ZERO_BID] * m
+def _row_arrays(m: int, amounts: dict[int, float], beta: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(amounts, beta)`` arrays of a row given by its cells, as ``_cells`` lists them."""
+    row = np.zeros(m)
     for j, amount in amounts.items():
-        row[j] = _valid_bid(amount)
+        row[j] = amount
+    mask = np.zeros(m, dtype=bool)
     for j in beta:
-        row[j] = _BETA_BID
-    return tuple(row)
+        mask[j] = True
+    return row, mask
 
 
 class BidMatrix:
-    """An n-by-m matrix of bids, stored as amounts plus a beta mask."""
+    """An n-by-m matrix of bids, stored as amounts plus a beta mask.
+
+    Row i is the pair ``(amounts[i], beta[i])``; ``best_response`` returns
+    a row in this form and ``replace_row`` takes one.
+    """
 
     __slots__ = ("amounts", "beta", "_rows", "_cols", "_profile")
 
@@ -117,11 +86,7 @@ class BidMatrix:
         beta = np.array(beta, dtype=bool, order="C")
         if amounts.ndim != 2 or beta.shape != amounts.shape:
             raise ValueError("amounts and beta mask must be matching 2-D arrays")
-        if np.any(amounts < 0) or not np.all(np.isfinite(amounts)):
-            raise ValueError("bid amounts must be finite and nonnegative")
-        amounts[amounts <= TOL_BID] = 0.0
-        if np.any(beta & (amounts > 0)):
-            raise ValueError("a bid cannot be both beta and positive")
+        _check_cells(amounts, beta)
         self._freeze(amounts, beta)
 
     def _freeze(self, amounts: np.ndarray, beta: np.ndarray) -> None:
@@ -137,13 +102,10 @@ class BidMatrix:
         self._profile: tuple[Instance, dict[int, float], dict[int, tuple[int, float, float]]] | None = None
 
     def _row(self, i: int) -> tuple[dict[int, float], list[int]]:
-        """Row ``i``'s cells: {good: amount} of its positive bids, and its beta goods, in good order."""
+        """Row ``i``'s cells, as ``_cells`` lists them."""
         row = self._rows[i]
         if row is None:
-            amounts = self.amounts[i]
-            goods = amounts.nonzero()[0]
-            cells = dict(zip(goods.tolist(), amounts[goods].tolist()))
-            row = self._rows[i] = (cells, self.beta[i].nonzero()[0].tolist())
+            row = self._rows[i] = _cells(self.amounts[i], self.beta[i])
         return row
 
     def _column(self, j: int) -> "_Column":
@@ -153,13 +115,6 @@ class BidMatrix:
             col = self._cols[j] = _Column.of(self.amounts[:, j], self.beta[:, j])
         return col
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Bid]]) -> "BidMatrix":
-        rows = [list(r) for r in rows]
-        amounts = np.array([[b.amount for b in r] for r in rows], dtype=float)
-        beta = np.array([[b.is_beta for b in r] for r in rows], dtype=bool)
-        return cls(amounts, beta)
-
     @property
     def n(self) -> int:
         return self.amounts.shape[0]
@@ -168,23 +123,24 @@ class BidMatrix:
     def m(self) -> int:
         return self.amounts.shape[1]
 
-    def bid(self, i: int, j: int) -> Bid:
-        return _as_bid(self.amounts[i, j], self.beta[i, j])
-
-    def row(self, i: int) -> tuple[Bid, ...]:
-        return _bid_cells(self.m, *self._row(i))
-
-    def replace_row(self, i: int, bids: Sequence[Bid]) -> "BidMatrix":
-        """A copy with row ``i`` replaced; each ``Bid`` is valid, so nothing is checked again."""
+    def replace_row(self, i: int, amounts: Sequence[float], beta: Sequence[bool]) -> "BidMatrix":
+        """A copy with row ``i`` set to ``amounts`` and ``beta``, checked as the constructor checks its cells."""
+        if not 0 <= i < self.n:
+            raise IndexError(f"row index {i} out of range")
+        amounts = np.array(amounts, dtype=float)
+        beta = np.array(beta, dtype=bool)
+        if amounts.shape != (self.m,) or beta.shape != (self.m,):
+            raise ValueError(f"row must have {self.m} entries")
+        _check_cells(amounts, beta)
         out = BidMatrix.__new__(BidMatrix)
         out._freeze(self.amounts.copy(), self.beta.copy())
         out._rows = self._rows.copy()
         out._cols = self._cols.copy()
-        out._overwrite_row(i, bids)
+        out._overwrite_row(i, amounts, beta)
         return out
 
-    def _overwrite_row(self, i: int, bids: Sequence[Bid]) -> None:
-        """Replace row ``i`` in place, walking only the old and new rows' cells.
+    def _overwrite_row(self, i: int, amounts: np.ndarray, beta: np.ndarray) -> None:
+        """Set row ``i`` to a valid ``(amounts, beta)`` row in place, walking only the old and new rows' cells.
 
         Built columns that either row touches are replaced by patched ones
         (columns are never changed, so a copy may share them), and the
@@ -192,32 +148,14 @@ class BidMatrix:
         a caller that owns its matrix may do this, as ``tradepost dynamics``
         does.
         """
-        if len(bids) != self.m:
-            raise ValueError(f"row must have {self.m} entries")
         old_amounts, old_beta = self._row(i)
-        new_amounts: dict[int, float] = {}
-        new_beta: list[int] = []
-        for j, b in enumerate(bids):
-            if b is _ZERO_BID:
-                continue
-            if b.amount > 0:
-                new_amounts[j] = b.amount
-            elif b.is_beta:
-                new_beta.append(j)
+        new_amounts, new_beta = _cells(amounts, beta)
         if new_amounts == old_amounts and new_beta == old_beta:
             return
-        amounts, beta = self.amounts, self.beta
-        amounts.setflags(write=True)
-        amounts[i] = 0.0
-        for j, amount in new_amounts.items():
-            amounts[i, j] = amount
-        amounts.setflags(write=False)
-        if old_beta or new_beta:
-            beta.setflags(write=True)
-            beta[i] = False
-            for j in new_beta:
-                beta[i, j] = True
-            beta.setflags(write=False)
+        for stored, row in ((self.amounts, amounts), (self.beta, beta)):
+            stored.setflags(write=True)
+            stored[i] = row
+            stored.setflags(write=False)
         self._rows[i] = (new_amounts, new_beta)
         cols = self._cols
         for j in old_amounts.keys() | new_amounts.keys():
@@ -423,12 +361,12 @@ class CurveFamily:
             raise ValueError(f"constraint curve for good {self._flat} must be strictly increasing")
 
     def cost(self, quantities: Sequence[float]) -> float:
-        """Summed curve cost of a nonnegative per-good vector."""
+        """Summed curve cost of a finite, nonnegative per-good vector, such as one bid row's amounts."""
         v = np.asarray(quantities, dtype=float)
         if v.shape != (self.m,):
             raise ValueError(f"expected {self.m} entries")
-        if np.any(v < 0):
-            raise ValueError("quantities must be nonnegative")
+        if np.any(v < 0) or not np.all(np.isfinite(v)):
+            raise ValueError("quantities must be finite and nonnegative")
         return float(self.cost_rows(v[None, :])[0])
 
     def cost_rows(self, amounts: np.ndarray) -> np.ndarray:
@@ -442,14 +380,6 @@ class CurveFamily:
 def _require_goods(f: CurveFamily, m: int) -> None:
     if f.m != m:
         raise ValueError(f"curve family has {f.m} curves, instance has {m} goods")
-
-
-def bid_cost(f: CurveFamily, bids: Sequence[Bid]) -> float:
-    """Budget cost of one bid row; zero and beta bids cost nothing."""
-    f.require_constraint_curves()
-    if len(bids) != f.m:
-        raise ValueError(f"expected {f.m} bids")
-    return float(f.cost_rows(np.array([[b.amount for b in bids]]))[0])
 
 
 def _is_beta(token: str) -> bool:
@@ -695,8 +625,11 @@ def best_response(
     i: int,
     *,
     tol_br: float = 1e-8,
-) -> tuple[tuple[Bid, ...], float]:
+) -> tuple[tuple[np.ndarray, np.ndarray], float]:
     """Numerically maximize agent ``i``'s utility against fixed opponent bids.
+
+    Returns the row, as its length-m ``(amounts, beta)`` arrays, and its
+    utility under the allocation rule.
 
     To reach quantity t on a good where opponents bid B > 0 in total, the
     agent must bid t*B/(s-t); summed curve costs are strictly increasing in t,
@@ -801,5 +734,5 @@ def best_response(
 
     incumbent = _incumbent_utility(inst, bids, i)
     if best_util <= incumbent and f.cost_rows(bids.amounts[i : i + 1])[0] <= 1.0 + TOL_FEAS:
-        return bids.row(i), incumbent
-    return _bid_cells(inst.m, *best_row), best_util
+        return (bids.amounts[i].copy(), bids.beta[i].copy()), incumbent
+    return _row_arrays(inst.m, *best_row), best_util

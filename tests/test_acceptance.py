@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from helpers import bisect_maxmin, grid_search_welfare, random_instance
 from tradepost import (
-    Bid,
     BidMatrix,
     CurveFamily,
     Instance,
@@ -267,14 +266,9 @@ def grid_profile(draw):
                 cell = draw(st.sampled_from(["zero", "beta", 0.25, 0.5, 0.75, 1.0]))
             else:
                 cell = draw(st.sampled_from(["zero", 0.25]))
-            if cell == "zero":
-                row.append(Bid.zero())
-            elif cell == "beta":
-                row.append(Bid.beta())
-            else:
-                row.append(Bid.positive(cell))
+            row.append(0.0 if cell == "zero" else cell)
         rows.append(row)
-    return inst, BidMatrix.from_rows(rows)
+    return inst, BidMatrix.from_lists(rows)
 
 
 @settings(**PROPERTY_SETTINGS)

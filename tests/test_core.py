@@ -111,6 +111,12 @@ class TestUtility:
         with pytest.raises(IndexError):
             utility(inst, 1, (0.5,))
 
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_rejects_negative_and_nonfinite(self, bad):
+        inst = Instance([1.0, 1.0], [{0, 1}])
+        with pytest.raises(ValueError, match="bundle entries must be finite and nonnegative"):
+            utility(inst, 0, (bad, 1.0))
+
     def test_utilities_matrix(self):
         inst = Instance([1.0, 1.0], [{0, 1}, {1}])
         x = np.array([[0.2, 0.5], [0.0, 0.5]])

@@ -11,7 +11,6 @@ from helpers import random_instance, sparse_instance
 from tradepost import (
     TOL_BID,
     TOL_FEAS,
-    Bid,
     BidMatrix,
     CurveFamily,
     InfeasibleBid,
@@ -19,7 +18,6 @@ from tradepost import (
     PowerCurve,
     atp_allocate,
     best_response,
-    bid_cost,
     utilities,
 )
 from tradepost.equilibrium import _random_row
@@ -35,25 +33,66 @@ from tradepost.trading_post import (
 COMMON = dict(deadline=None, derandomize=True)
 
 
+def _row(*cells):
+    """A row written as in a bid file, as its ``(amounts, beta)`` arrays."""
+    b = BidMatrix.from_lists([list(cells)])
+    return b.amounts[0], b.beta[0]
+
+
+def _ways_in(amounts, beta):
+    """The two ways a row enters a matrix: the constructor, and ``replace_row`` on a matrix as wide."""
+    m = len(amounts)
+    base = BidMatrix(np.full((2, m), 0.25), np.zeros((2, m), dtype=bool))
+    return [lambda: BidMatrix([amounts, amounts], [beta, beta]), lambda: base.replace_row(1, amounts, beta)]
+
+
 class TestBid:
+    """One cell is a positive amount, 0, or beta; the constructor and ``replace_row`` check cells alike."""
+
     def test_tags(self):
-        assert Bid.zero().is_zero
-        assert Bid.beta().is_beta
-        assert Bid.positive(0.5).is_positive
+        b = BidMatrix.from_lists([[0.0, "beta", 0.5]])
+        assert b.amounts.tolist() == [[0.0, 0.0, 0.5]]
+        assert b.beta.tolist() == [[False, True, False]]
+        for way_in in _ways_in([0.0, 0.0, 0.5], [False, True, False]):
+            b = way_in()
+            assert (b.amounts[1].tolist(), b.beta[1].tolist()) == ([0.0, 0.0, 0.5], [False, True, False])
 
     def test_tiny_positive_coerces_to_zero(self):
-        assert Bid.positive(TOL_BID / 2).is_zero
-        assert Bid.positive(TOL_BID * 10).is_positive
+        amounts = [TOL_BID / 2, TOL_BID, TOL_BID * 10, -0.0]
+        for way_in in _ways_in(amounts, [False] * 4):
+            stored = way_in().amounts[1]
+            assert stored.tolist() == [0.0, 0.0, TOL_BID * 10, 0.0]
+            assert not np.signbit(stored).any()
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Bid.positive(-0.1)
+        for bad in (-0.1, -TOL_BID / 2, math.nan, math.inf, -math.inf):
+            for way_in in _ways_in([0.5, bad], [False, False]):
+                with pytest.raises(ValueError, match="bid amounts must be finite and nonnegative"):
+                    way_in()
+
+    def test_beta_and_positive_rejected(self):
+        for way_in in _ways_in([0.5, 0.25], [False, True]):
+            with pytest.raises(ValueError, match="a bid cannot be both beta and positive"):
+                way_in()
+
+    def test_mismatched_shapes_rejected(self):
+        for amounts, beta in [
+            (np.zeros((2, 2)), np.zeros((2, 3), dtype=bool)),
+            (np.zeros(2), np.zeros(2, dtype=bool)),
+            (np.zeros((1, 2, 2)), np.zeros((1, 2, 2), dtype=bool)),
+        ]:
+            with pytest.raises(ValueError, match="matching 2-D arrays"):
+                BidMatrix(amounts, beta)
+        b = BidMatrix.from_lists([[0.5, 0.0, "beta"], [0.0, 2.0, 0.0]])
+        for amounts, beta in [([0.0] * 2, [False] * 2), ([0.0] * 4, [False] * 4), ([0.0] * 3, [False] * 2)]:
+            with pytest.raises(ValueError, match="row must have 3 entries"):
+                b.replace_row(0, amounts, beta)
 
 
 class TestBidMatrix:
     def test_round_trip_lists(self):
-        rows = [[Bid.positive(0.5), Bid.beta()], [Bid.zero(), Bid.positive(1.0)]]
-        b = BidMatrix.from_rows(rows)
+        rows = [[0.5, "beta"], [0.0, 1.0]]
+        b = BidMatrix.from_lists(rows)
         data = b.to_lists()
         assert data == [[0.5, "beta"], [0.0, 1.0]]
         assert BidMatrix.from_lists(data) == b
@@ -75,26 +114,38 @@ class TestBidMatrix:
                 BidMatrix.from_lists(data)
 
     def test_replace_row(self):
-        b = BidMatrix.from_rows([[Bid.positive(0.5)], [Bid.positive(0.5)]])
-        b2 = b.replace_row(0, [Bid.beta()])
-        assert b2.bid(0, 0).is_beta
-        assert b.bid(0, 0).is_positive
+        b = BidMatrix.from_lists([[0.5], [0.5]])
+        b2 = b.replace_row(0, [0.0], [True])
+        assert b2 == BidMatrix.from_lists([["beta"], [0.5]])
+        assert b == BidMatrix.from_lists([[0.5], [0.5]])
+
+    def test_replace_row_rejects_an_index_out_of_range(self):
+        """A negative index would enter the copy's cached columns as a row of its own, above row 0."""
+        inst, f = Instance([1.0, 1.0], [{0}, {0, 1}]), CurveFamily.linear(2)
+        b = BidMatrix.from_lists([[0.5, 0.0], [0.5, 0.5]])
+        columns = [b._column(j) for j in range(2)]
+        for i in (-1, 2):
+            with pytest.raises(IndexError, match="out of range"):
+                b.replace_row(i, [0.25, 0.5], [False, False])
+        assert [b._column(j) for j in range(2)] == columns
+        b2 = b.replace_row(1, [0.25, 0.5], [False, False])
+        assert [b2._column(j) for j in range(2)] == [BidMatrix(b2.amounts, b2.beta)._column(j) for j in range(2)]
+        assert b2._column(0).total == 0.75
+        assert best_response(inst, f, b2, 0)[1] == pytest.approx(0.8)
+        assert _incumbent_utility(inst, b2, 0) == utilities(inst, atp_allocate(inst, f, b2))[0] == 0.5 / 0.75
 
     def test_replace_row_is_a_frozen_copy(self):
-        rows = [[Bid.positive(0.5), Bid.zero(), Bid.beta()], [Bid.zero(), Bid.positive(2.0), Bid.zero()]]
-        b = BidMatrix.from_rows(rows)
-        new_row = (Bid.beta(), Bid.positive(TOL_BID / 2), Bid.positive(0.25))
-        b2 = b.replace_row(1, new_row)
-        assert b2 == BidMatrix.from_rows([rows[0], new_row])
-        assert b == BidMatrix.from_rows(rows)
+        rows = [[0.5, 0.0, "beta"], [0.0, 2.0, 0.0]]
+        b = BidMatrix.from_lists(rows)
+        new_row = ["beta", TOL_BID / 2, 0.25]
+        b2 = b.replace_row(1, *_row(*new_row))
+        assert b2 == BidMatrix.from_lists([rows[0], new_row])
+        assert b == BidMatrix.from_lists(rows)
         for new, old in ((b2.amounts, b.amounts), (b2.beta, b.beta)):
             assert not np.shares_memory(new, old)
             assert not new.flags.writeable
         with pytest.raises(ValueError):
             b2.amounts[0, 0] = 1.0
-        for bad in ([Bid.zero()] * 2, [Bid.zero()] * 4):
-            with pytest.raises(ValueError, match="row must have 3 entries"):
-                b.replace_row(0, bad)
 
     def test_in_place_play_matches_copies(self):
         """``_overwrite_row`` patches the caches it keeps; play on one matrix equals play on copies."""
@@ -106,9 +157,10 @@ class TestBidMatrix:
         for _ in range(3):
             for i in range(inst.n):
                 row, after = best_response(inst, f, owned, i)
-                assert (row, after) == best_response(inst, f, copied, i)
-                owned._overwrite_row(i, row)
-                copied = copied.replace_row(i, row)
+                (amounts, beta), expected = best_response(inst, f, copied, i)
+                assert np.array_equal(row[0], amounts) and np.array_equal(row[1], beta) and after == expected
+                owned._overwrite_row(i, *row)
+                copied = copied.replace_row(i, *row)
                 assert owned == copied
         assert not owned.amounts.flags.writeable and not owned.beta.flags.writeable
         fresh = BidMatrix(owned.amounts, owned.beta)
@@ -116,16 +168,16 @@ class TestBidMatrix:
         assert [owned._row(i) for i in range(inst.n)] == [fresh._row(i) for i in range(inst.n)]
 
     def test_replace_row_leaves_the_source_caches(self):
-        rows = [[Bid.positive(0.5), Bid.beta()], [Bid.positive(2.0), Bid.zero()], [Bid.zero(), Bid.beta()]]
-        b = BidMatrix.from_rows(rows)
+        rows = [[0.5, "beta"], [2.0, 0.0], [0.0, "beta"]]
+        b = BidMatrix.from_lists(rows)
         before = [b._column(j) for j in range(2)] + [b._row(i) for i in range(3)]
-        b2 = b.replace_row(1, [Bid.beta(), Bid.positive(0.25)])
+        b2 = b.replace_row(1, *_row("beta", 0.25))
         assert b2._column(0) == BidMatrix(b2.amounts, b2.beta)._column(0)
-        b2._overwrite_row(0, [Bid.zero(), Bid.positive(1.0)])
+        b2._overwrite_row(0, *_row(0.0, 1.0))
         assert [b._column(j) for j in range(2)] + [b._row(i) for i in range(3)] == before
-        assert b == BidMatrix.from_rows(rows)
-        new_rows = [[Bid.zero(), Bid.positive(1.0)], [Bid.beta(), Bid.positive(0.25)], rows[2]]
-        assert b2 == BidMatrix.from_rows(new_rows)
+        assert b == BidMatrix.from_lists(rows)
+        new_rows = [[0.0, 1.0], ["beta", 0.25], rows[2]]
+        assert b2 == BidMatrix.from_lists(new_rows)
 
 
 class TestColumnTotals:
@@ -201,16 +253,22 @@ class TestCurves:
 class TestBidCost:
     def test_linear(self):
         f = CurveFamily.linear(2)
-        assert bid_cost(f, [Bid.positive(0.4), Bid.positive(0.6)]) == pytest.approx(1.0)
+        assert f.cost([0.4, 0.6]) == pytest.approx(1.0)
 
     def test_beta_costs_nothing(self):
         f = CurveFamily([PowerCurve(1.0, 2.0)] * 3)
-        cost = bid_cost(f, [Bid.positive(0.5), Bid.beta(), Bid.positive(0.5)])
-        assert cost == pytest.approx(0.5)
+        amounts, _ = _row(0.5, "beta", 0.5)
+        assert f.cost(amounts) == pytest.approx(0.5)
 
     def test_power_curve_cost(self):
         f = CurveFamily.atp(-1.0, 2)  # t^2
-        assert bid_cost(f, [Bid.positive(1.0), Bid.zero()]) == pytest.approx(1.0)
+        assert f.cost([1.0, 0.0]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_and_nonfinite(self, bad):
+        # A NaN cell would cost nothing: only positive cells get a power term.
+        with pytest.raises(ValueError, match="quantities must be finite and nonnegative"):
+            CurveFamily.atp(0.0, 2).cost([bad, 0.0])
 
     def test_cost_rows_matches_elementwise_terms(self):
         """Each positive cell costs coeff * amount**degree, summed row-wise over the full row."""
@@ -229,23 +287,19 @@ class TestBidCost:
 class TestAllocate:
     def test_proportional_rule(self):
         inst = Instance([1.0], [{0}, {0}])
-        b = BidMatrix.from_rows([[Bid.positive(0.5)], [Bid.positive(0.5)]])
+        b = BidMatrix.from_lists([[0.5], [0.5]])
         x = atp_allocate(inst, CurveFamily.linear(1), b)
         assert np.allclose(x.x, [[0.5], [0.5]])
 
     def test_beta_duplicates_first_positive_level(self):
         inst = Instance([1.0, 1.0], [{0, 1}, {0}])
-        b = BidMatrix.from_rows(
-            [[Bid.positive(0.6), Bid.beta()], [Bid.positive(0.4), Bid.zero()]]
-        )
+        b = BidMatrix.from_lists([[0.6, "beta"], [0.4, 0.0]])
         x = atp_allocate(inst, CurveFamily.linear(2), b)
         assert np.allclose(x.x, [[0.6, 0.6], [0.4, 0.0]])
 
     def test_penalty_zeroes_overclaiming_rows(self):
         inst = Instance([1.0, 0.5], [{0, 1}, {0, 1}])
-        b = BidMatrix.from_rows(
-            [[Bid.positive(0.5), Bid.beta()], [Bid.positive(0.5), Bid.beta()]]
-        )
+        b = BidMatrix.from_lists([[0.5, "beta"], [0.5, "beta"]])
         x = atp_allocate(inst, CurveFamily.linear(2), b)
         assert np.allclose(x.x, 0.0)
 
@@ -253,23 +307,21 @@ class TestAllocate:
         # Agent 1's beta claim (her step-1 level, 0.9) breaks good 1's
         # supply and zeroes her row; agent 0's plain zero carries no risk.
         inst = Instance([1.0, 0.5], [{0}, {0, 1}])
-        b = BidMatrix.from_rows(
-            [[Bid.positive(0.1), Bid.zero()], [Bid.positive(0.9), Bid.beta()]]
-        )
+        b = BidMatrix.from_lists([[0.1, 0.0], [0.9, "beta"]])
         x = atp_allocate(inst, CurveFamily.linear(2), b)
         assert np.allclose(x.x[1], 0.0)
         assert x.x[0, 0] == pytest.approx(0.1)
 
     def test_beta_without_positive_anchor_gets_nothing(self):
         inst = Instance([1.0], [{0}, {0}])
-        b = BidMatrix.from_rows([[Bid.beta()], [Bid.positive(1.0)]])
+        b = BidMatrix.from_lists([["beta"], [1.0]])
         x = atp_allocate(inst, CurveFamily.linear(1), b)
         assert x.x[0, 0] == 0.0
         assert x.x[1, 0] == pytest.approx(1.0)
 
     def test_budget_violation_raises(self):
         inst = Instance([1.0], [{0}, {0}])
-        b = BidMatrix.from_rows([[Bid.positive(1.5)], [Bid.positive(0.5)]])
+        b = BidMatrix.from_lists([[1.5], [0.5]])
         with pytest.raises(InfeasibleBid) as err:
             atp_allocate(inst, CurveFamily.linear(1), b)
         assert err.value.agent == 0
@@ -289,8 +341,8 @@ class TestAllocate:
             total = sum(amounts)
             if total > 1:
                 amounts = [a / total for a in amounts]
-            rows.append([Bid.positive(a) if a > 0 else Bid.zero() for a in amounts])
-        bids = BidMatrix.from_rows(rows)
+            rows.append(amounts)
+        bids = BidMatrix.from_lists(rows)
         x = atp_allocate(inst, f, bids)
         paid = bids.amounts.sum(axis=0) > 0
         totals = x.x.sum(axis=0)
@@ -307,8 +359,8 @@ class TestAllocate:
     def test_scaling_one_column_preserves_shares(self, b1, b2, c):
         inst = Instance([1.0], [{0}, {0}])
         f = CurveFamily.linear(1)
-        base = BidMatrix.from_rows([[Bid.positive(b1)], [Bid.positive(b2)]])
-        scaled = BidMatrix.from_rows([[Bid.positive(b1 * c)], [Bid.positive(b2 * c)]])
+        base = BidMatrix.from_lists([[b1], [b2]])
+        scaled = BidMatrix.from_lists([[b1 * c], [b2 * c]])
         x1 = atp_allocate(inst, f, base)
         x2 = atp_allocate(inst, f, scaled, check_budgets=False)
         assert np.allclose(x1.x, x2.x, atol=1e-12)
@@ -317,47 +369,38 @@ class TestAllocate:
 class TestBestResponse:
     def test_shared_good_bisection(self):
         inst = Instance([1.0], [{0}, {0}])
-        b = BidMatrix.from_rows([[Bid.zero()], [Bid.positive(1.0)]])
-        row, value = best_response(inst, CurveFamily.linear(1), b, 0)
+        b = BidMatrix.from_lists([[0.0], [1.0]])
+        (amounts, beta), value = best_response(inst, CurveFamily.linear(1), b, 0)
         assert value == pytest.approx(0.5, abs=1e-6)
-        assert row[0].is_positive
-        assert row[0].amount == pytest.approx(1.0, abs=1e-5)
+        assert amounts[0] == pytest.approx(1.0, abs=1e-5)
+        assert not beta[0]
 
     def test_sole_bidder_takes_whole_supply(self):
         inst = Instance([2.0], [{0}])
-        b = BidMatrix.from_rows([[Bid.zero()]])
-        row, value = best_response(inst, CurveFamily.linear(1), b, 0)
+        b = BidMatrix.from_lists([[0.0]])
+        (amounts, _), value = best_response(inst, CurveFamily.linear(1), b, 0)
         assert value == pytest.approx(2.0, abs=1e-6)
-        assert row[0].is_positive
+        assert amounts[0] > 0
 
     def test_undesired_goods_get_zero(self):
         inst = Instance([1.0, 1.0], [{0}, {0, 1}])
-        b = BidMatrix.from_rows(
-            [[Bid.positive(0.5), Bid.zero()], [Bid.positive(0.5), Bid.positive(0.5)]]
-        )
-        row, _ = best_response(inst, CurveFamily.linear(2), b, 0)
-        assert row[1].is_zero
+        b = BidMatrix.from_lists([[0.5, 0.0], [0.5, 0.5]])
+        (amounts, beta), _ = best_response(inst, CurveFamily.linear(2), b, 0)
+        assert (amounts[1], beta[1]) == (0.0, False)
 
     def test_respects_budget(self):
         inst = Instance([1.0, 1.0], [{0, 1}, {0, 1}])
         f = CurveFamily.atp(-1.0, 2)
-        b = BidMatrix.from_rows(
-            [
-                [Bid.positive(0.7), Bid.positive(0.7)],
-                [Bid.positive(0.7), Bid.positive(0.7)],
-            ]
-        )
-        row, _ = best_response(inst, f, b, 0)
-        assert bid_cost(f, row) <= 1.0 + 1e-9
+        b = BidMatrix.from_lists([[0.7, 0.7], [0.7, 0.7]])
+        (amounts, _), _ = best_response(inst, f, b, 0)
+        assert f.cost(amounts) <= 1.0 + 1e-9
 
     def test_beta_claim_on_free_good(self):
         # Good 1 is unpriced and ample; the best response claims it with beta.
         inst = Instance([1.0, 5.0], [{0, 1}, {0}])
-        b = BidMatrix.from_rows(
-            [[Bid.positive(0.5), Bid.zero()], [Bid.positive(0.5), Bid.zero()]]
-        )
-        row, value = best_response(inst, CurveFamily.linear(2), b, 0)
-        assert row[1].is_beta
+        b = BidMatrix.from_lists([[0.5, 0.0], [0.5, 0.0]])
+        (_, beta), value = best_response(inst, CurveFamily.linear(2), b, 0)
+        assert beta[1]
         assert value == pytest.approx(2.0 / 3.0, abs=1e-6)
 
     def test_unsafe_beta_replaced_by_positive(self):
@@ -365,17 +408,15 @@ class TestBestResponse:
         # with beta alongside the opponent's beta breaks the supply, so the
         # best response pays a token amount and takes it outright.
         inst = Instance([2.0, 1.0], [{0, 1}, {0, 1}])
-        b = BidMatrix.from_rows(
-            [[Bid.positive(1.0), Bid.zero()], [Bid.positive(1.0), Bid.beta()]]
-        )
-        row, value = best_response(inst, CurveFamily.linear(2), b, 0)
-        assert row[1].is_positive
+        b = BidMatrix.from_lists([[1.0, 0.0], [1.0, "beta"]])
+        (amounts, _), value = best_response(inst, CurveFamily.linear(2), b, 0)
+        assert amounts[1] > 0
         assert value > 0.5
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_tolerance(self, tol):
         inst = Instance([1.0, 1.0], [{0, 1}, {0, 1}])
-        b = BidMatrix.from_rows([[Bid.positive(0.25), Bid.positive(0.25)], [Bid.positive(0.5), Bid.positive(0.5)]])
+        b = BidMatrix.from_lists([[0.25, 0.25], [0.5, 0.5]])
         with pytest.raises(ValueError, match="tol_br"):
             best_response(inst, CurveFamily.linear(2), b, 0, tol_br=tol)
 
@@ -385,21 +426,22 @@ class TestBestResponse:
         inst = Instance([1.0, 1.0], [{0, 1}, {0, 1}])
         f = CurveFamily.linear(2)
         limit = 1.0 + TOL_FEAS
-        rows = [[Bid.positive(0.5), Bid.positive(limit - 0.5 + delta)], [Bid.positive(0.5), Bid.positive(0.5)]]
-        b = BidMatrix.from_rows(rows)
-        row, _ = best_response(inst, f, b, 0)
-        assert (row == b.row(0)) == (f.cost_rows(b.amounts[:1])[0] <= limit)
+        rows = [[0.5, limit - 0.5 + delta], [0.5, 0.5]]
+        b = BidMatrix.from_lists(rows)
+        (amounts, beta), _ = best_response(inst, f, b, 0)
+        stands = np.array_equal(amounts, b.amounts[0]) and np.array_equal(beta, b.beta[0])
+        assert stands == (f.cost_rows(b.amounts[:1])[0] <= limit)
 
     def test_rejects_mismatched_matrix(self):
         inst = Instance([1.0, 1.0], [{0, 1}, {0, 1}])
-        b = BidMatrix.from_rows([[Bid.positive(0.5)], [Bid.positive(0.5)]])
+        b = BidMatrix.from_lists([[0.5], [0.5]])
         with pytest.raises(ValueError, match="shape"):
             best_response(inst, CurveFamily.linear(2), b, 0)
 
     def test_tolerance_below_float_spacing_ends(self):
         """No bracket gets within 1e-300; the bisection stops at the finest one it can split."""
         inst = Instance([1.0, 1.0], [{0, 1}, {0, 1}])
-        b = BidMatrix.from_rows([[Bid.positive(0.25), Bid.positive(0.25)], [Bid.positive(0.5), Bid.positive(0.5)]])
+        b = BidMatrix.from_lists([[0.25, 0.25], [0.5, 0.5]])
         # Bidding t*0.5/(1-t) on both goods costs t/(1-t), so t = 1/2 uses the whole budget.
         _, value = best_response(inst, CurveFamily.linear(2), b, 0, tol_br=1e-300)
         assert value == pytest.approx(0.5, rel=1e-14)
@@ -408,9 +450,9 @@ class TestBestResponse:
         # Degree 51 near the whole supply: the cost leaves float range and the target is out of budget.
         inst = Instance([1.0], [{0}, {0}])
         f = CurveFamily.atp(-50.0, 1)
-        b = BidMatrix.from_rows([[Bid.zero()], [Bid.positive(0.5)]])
+        b = BidMatrix.from_lists([[0.0], [0.5]])
         row, value = best_response(inst, f, b, 0)
-        assert value == utilities(inst, atp_allocate(inst, f, b.replace_row(0, row)))[0]
+        assert value == utilities(inst, atp_allocate(inst, f, b.replace_row(0, *row)))[0]
         assert value == pytest.approx(2.0 / 3.0, rel=1e-7)
 
 
@@ -478,13 +520,7 @@ class TestMaxTarget:
 def test_allocation_is_deterministic():
     inst = Instance([1.0, 2.0, 0.5], [{0, 1}, {1, 2}, {0, 2}])
     f = CurveFamily.atp(0.0, 3)
-    b = BidMatrix.from_rows(
-        [
-            [Bid.positive(0.5), Bid.positive(0.5), Bid.zero()],
-            [Bid.zero(), Bid.positive(0.3), Bid.positive(0.7)],
-            [Bid.positive(0.2), Bid.zero(), Bid.positive(0.8)],
-        ]
-    )
+    b = BidMatrix.from_lists([[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.2, 0.0, 0.8]])
     x1 = atp_allocate(inst, f, b)
     x2 = atp_allocate(inst, f, b)
     assert np.array_equal(x1.x, x2.x)
@@ -622,12 +658,13 @@ class TestBestResponseValue:
             bids = _profile_with_free_goods(rng, inst, f)
             for i in range(n):
                 row, value = best_response(inst, f, bids, i)
-                after = bids.replace_row(i, row)
+                after = bids.replace_row(i, *row)
                 assert value == utilities(inst, atp_allocate(inst, f, after))[i]
                 assert value == _incumbent_utility(inst, after, i)
-                seen["beta"] += any(b.is_beta for b in row)
-                seen["forced"] += any(b.amount == _MIN_POSITIVE for b in row)
-                seen["paid"] += any(b.amount > _MIN_POSITIVE for b in row)
+                amounts, beta = row
+                seen["beta"] += bool(beta.any())
+                seen["forced"] += bool((amounts == _MIN_POSITIVE).any())
+                seen["paid"] += bool((amounts > _MIN_POSITIVE).any())
         assert min(seen[k] for k in ("beta", "forced", "paid")) >= 20, seen
 
     def test_value_is_rule_utility_single_good(self):
@@ -641,7 +678,7 @@ class TestBestResponseValue:
             bids = BidMatrix(amounts, np.zeros((n, 1), dtype=bool))
             for i in range(n):
                 row, value = best_response(inst, f, bids, i)
-                after = bids.replace_row(i, row)
+                after = bids.replace_row(i, *row)
                 assert value == utilities(inst, atp_allocate(inst, f, after))[i]
                 assert value == _incumbent_utility(inst, after, i)
 
@@ -683,7 +720,7 @@ class TestRoughProfiles:
                 for i in range(n):
                     assert _incumbent_utility(v, bids, i) == expected[i]
                     row, value = best_response(v, f, bids, i)
-                    after = bids.replace_row(i, row)
+                    after = bids.replace_row(i, *row)
                     assert value == utilities(v, atp_allocate(v, f, after, check_budgets=False))[i]
                     undesired = [j for j in np.flatnonzero(bids.beta[i] & (claims > 0)) if j not in v.desired[i]]
                     seen["over budget"] += bool(over_budget[i])

@@ -117,8 +117,11 @@ def solve_ces(
 
     Raises :class:`NonConvergence` when the iteration budget runs out before
     the KKT residual drops below ``tol_kkt``; ``max_iter`` counts
-    interior-point iterations.  Both must be finite and > 0.
+    interior-point iterations.  ``tol_kkt`` must be finite and > 0,
+    ``max_iter`` an integer > 0.
     """
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     require_positive(tol_kkt=tol_kkt, max_iter=max_iter)
     if rho.is_maxmin:
         raise ValueError("use solve_maxmin for the maxmin objective")
@@ -132,6 +135,9 @@ def solve_ces(
 _IP_ROUNDS = 100
 _IP_TOL = 1e-12
 
+#: Machine epsilon: the scale of the rank tests in the finite-rho finish and the least-norm call.
+_EPS = np.finfo(float).eps
+
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     """Largest step in [0, 1] that keeps v + step * dv >= 0."""
@@ -139,13 +145,58 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
         return float(np.min(np.where(dv < 0, -v / dv, 1.0), initial=1.0))
 
 
-def _spd_solver(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Solve M d = rhs through a Cholesky factor, by least squares when M is numerically singular."""
+#: Rows per block of the triangular solves in :func:`_cho_solve`.
+_BLOCK = 64
+
+
+def _cholesky(M: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor of M, or None when M is not numerically positive definite."""
     try:
-        L = np.linalg.cholesky(M)
+        return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
+        return None
+
+
+def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^T d = rhs by block forward and back substitution.
+
+    numpy has no triangular solve: each diagonal block of at most ``_BLOCK``
+    rows is one small general solve, and the rest of a block row is one
+    matvec.  With m <= ``_BLOCK`` these are exactly the two solves on L and
+    L^T.
+    """
+    starts = range(0, len(L), _BLOCK)
+    y = np.empty_like(rhs)
+    for k in starts:
+        e = k + _BLOCK
+        y[k:e] = np.linalg.solve(L[k:e, k:e], rhs[k:e] - L[k:e, :k] @ y[:k])
+    d = np.empty_like(rhs)
+    for k in reversed(starts):
+        e = k + _BLOCK
+        d[k:e] = np.linalg.solve(L[k:e, k:e].T, y[k:e] - L[e:, k:e].T @ d[e:])
+    return d
+
+
+def _spd_solver(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Solve M d = rhs through one Cholesky factor, by least squares when M is numerically singular."""
+    L = _cholesky(M)
+    if L is None:
         return lambda rhs: np.linalg.lstsq(M, rhs, rcond=None)[0]
-    return lambda rhs: np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+    return lambda rhs: _cho_solve(L, rhs)
+
+
+def _newton_step(N: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve N d = rhs through a Cholesky factor when N is clearly nonsingular, else its least-norm solution.
+
+    N counts as nonsingular when its factor's smallest pivot, squared, is
+    above eps * size times its largest diagonal entry.  The interior point's
+    direction solves (:func:`_spd_solver`) skip this test: applied there, it
+    made solves fail that succeed with the Cholesky step.
+    """
+    L = _cholesky(N)
+    if L is not None and np.min(np.diag(L)) ** 2 > _EPS * len(N) * np.max(np.diag(N)):
+        return _cho_solve(L, rhs)
+    return np.linalg.lstsq(N, rhs, rcond=None)[0]
 
 
 def _mehrotra_step(
@@ -228,7 +279,7 @@ def _solve_finite(inst: Instance, rho: Rho, *, tol_kkt: float, max_iter: int) ->
             if not np.all(np.isfinite(h)):
                 break
             q = q.copy()
-            step = np.linalg.lstsq(normal(h)[np.ix_(tight, tight)], slack[tight], rcond=None)[0]
+            step = _newton_step(normal(h)[np.ix_(tight, tight)], slack[tight])
             q[tight] = np.maximum(q[tight] - step, 0.0)
             res = judged(q)
             halved = res < best[0] / 2
@@ -266,6 +317,9 @@ def _solve_finite(inst: Instance, rho: Rho, *, tol_kkt: float, max_iter: int) ->
             best = min(best, finish(q, q > z), key=lambda b: b[0])
             if best[0] <= tol_kkt * 0.5:
                 break
+    if best[0] > tol_kkt:
+        # No finish certified a point: judge the last iterate itself.
+        best = min(best, (judged(q), q), key=lambda b: b[0])
     res, q = best
     if res > tol_kkt:
         raise NonConvergence(used, res)
@@ -342,7 +396,7 @@ def _solve_sum(inst: Instance, *, tol_kkt: float, max_iter: int) -> SolveResult:
     # The tight rows W_ST^T u_S = s_T are often dependent: keep an orthonormal
     # basis of their row space, so that the equality rows have full rank.
     U, sv, Vt = np.linalg.svd(W[np.ix_(S, T)].T, full_matrices=False)
-    rank = int(np.sum(sv > sv[0] * max(len(S), len(T)) * np.finfo(float).eps))
+    rank = int(np.sum(sv > sv[0] * max(len(S), len(T)) * _EPS))
     A = np.block([[Vt[:rank], np.zeros((rank, len(N)))], [W[np.ix_(S, N)].T, np.eye(len(N))]])
     b = np.concatenate([U[:, :rank].T @ s[T] / sv[:rank], s[N]])
     h = np.concatenate([np.ones(len(S)), np.zeros(len(N))])

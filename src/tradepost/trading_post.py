@@ -180,10 +180,11 @@ class BidMatrix:
     def from_lists(cls, data: Sequence[Sequence[float | str]]) -> "BidMatrix":
         """Parse the JSON form; every malformed cell is reported by position.
 
-        A row of only floats and "beta" tokens is filled whole, and all such
-        cells are range-checked in one array pass; other rows are checked cell
-        by cell.  If anything is bad, every row is checked again cell by cell,
-        so that the error names the first bad cell in row-major order.
+        A row of only floats and "beta" tokens is filled whole after one pass
+        that finds its other cells, and all such cells are range-checked in
+        one array pass; other rows are checked cell by cell.  If anything is
+        bad, every row is checked again cell by cell, so that the error names
+        the first bad cell in row-major order.
         """
         if not data:
             raise ValueError("bids must be a nonempty 2-D array")
@@ -192,13 +193,16 @@ class BidMatrix:
         beta = np.zeros((len(data), m), dtype=bool)
         try:
             for i, raw in enumerate(data):
-                kinds = set(map(type, raw)) if isinstance(raw, (list, tuple)) and len(raw) == m else {None}
-                if kinds <= {float}:
+                if not (isinstance(raw, (list, tuple)) and len(raw) == m):
+                    raise ValueError  # a malformed row: the cell-by-cell pass names it
+                other = [j for j, kind in enumerate(map(type, raw)) if kind is not float]
+                if not other:
                     amounts[i] = raw
-                elif kinds <= {float, str} and all(map(_is_beta, {c for c in raw if type(c) is str})):
-                    is_str = [type(c) is str for c in raw]
-                    amounts[i] = [0.0 if s else c for c, s in zip(raw, is_str)]
-                    beta[i] = is_str
+                elif all(type(raw[j]) is str and _is_beta(raw[j]) for j in other):
+                    row = list(raw)
+                    for j in other:
+                        row[j] = 0.0
+                    amounts[i], beta[i, other] = row, True
                 else:
                     amounts[i], beta[i] = _parse_row(i, raw, m)
             if ((amounts >= 0) & (amounts <= sys.float_info.max)).all():

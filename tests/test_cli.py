@@ -427,6 +427,25 @@ class TestNumpyOnly:
         assert run.stdout.strip() == "[]"
         assert read(out)["command"] == "solve"
 
+    def test_multi_block_library_solve_loads_no_scipy(self):
+        # 200 goods: every direction solve and finish goes through block substitution,
+        # which numpy alone must do (scipy is installed but not a dependency).
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import tradepost\n"
+            "rng = np.random.default_rng(19)\n"
+            "desired = [set(rng.choice(200, 3, replace=False).tolist()) for _ in range(400)] + [{j} for j in range(200)]\n"
+            "inst = tradepost.Instance(rng.integers(1, 6, 200).astype(float).tolist(), desired)\n"
+            "for rho in (tradepost.Rho.finite(-2.0), tradepost.Rho.one()):\n"
+            "    tradepost.solve_ces(inst, rho)\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(tradepost.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert run.stdout.strip() == "[]"
+
 
 class TestParserReuse:
     """The parser is built once per process; a parse error leaves nothing behind for the next call."""

@@ -21,8 +21,9 @@ from tradepost import (
     truthful_best_utility,
     utilities,
 )
+from tradepost import solver
 from tradepost.files import load_instance
-from tradepost.solver import _normal_matrix
+from tradepost.solver import _BLOCK, _cho_solve, _newton_step, _normal_matrix, _spd_solver
 
 COMMON = dict(deadline=None, derandomize=True)
 DATA = Path(__file__).parent / "data"
@@ -104,11 +105,13 @@ class TestSolveCes:
     @pytest.mark.parametrize("rho", [Rho.finite(-1.0), Rho.one()], ids=str)
     @pytest.mark.parametrize(
         "name, value",
-        [("tol_kkt", np.nan), ("tol_kkt", np.inf), ("tol_kkt", 0.0), ("tol_kkt", -1.0), ("max_iter", 0), ("max_iter", -1)],
+        [("tol_kkt", np.nan), ("tol_kkt", np.inf), ("tol_kkt", 0.0), ("tol_kkt", -1.0), ("max_iter", 0), ("max_iter", -1),
+         ("max_iter", 2.5), ("max_iter", True)],
     )
     def test_rejects_invalid_tolerance_or_budget(self, rho, name, value):
         # Before the check, these ran the whole budget and raised NonConvergence.
-        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        rule = "finite and > 0" if name == "tol_kkt" or type(value) is int else "an integer"
+        with pytest.raises(ValueError, match=f"{name} must be {rule}"):
             solve_ces(five_by_seven_instance(), rho, **{name: value})
 
     def test_nonconvergence_error(self):
@@ -116,7 +119,15 @@ class TestSolveCes:
         with pytest.raises(NonConvergence) as err:
             solve_ces(inst, Rho.finite(-1.0), max_iter=3)
         assert err.value.iterations <= 3
-        assert err.value.residual > 0
+        assert 0 < err.value.residual < np.inf
+
+    @pytest.mark.parametrize("budget, tol", [(1, TOL_KKT), (100, 1e-300)])
+    def test_nonconvergence_residual_without_finish(self, budget, tol):
+        # No finish runs in these solves: the residual is the last iterate's certificate.
+        with pytest.raises(NonConvergence) as err:
+            solve_ces(Instance([1.0, 2.0], [{0}, {0, 1}, {1}]), Rho.finite(-2.0), max_iter=budget, tol_kkt=tol)
+        assert err.value.iterations <= budget
+        assert 0 < err.value.residual < np.inf
 
     def test_budget_identity_and_allocation_shape(self):
         inst = five_by_seven_instance()
@@ -383,3 +394,60 @@ class TestFiniteRhoInteriorPoint:
             gap = np.abs(s - res.u_star @ inst.weights)
             priced = res.q > TOL_DUAL
             assert np.all(gap[priced] <= TOL_KKT * np.maximum(1.0, s[priced])), k
+
+
+class TestCholeskySolves:
+    """One Cholesky factor per system, solved by block substitution; the finish's rank rule."""
+
+    @staticmethod
+    def _spd(m, seed):
+        rng = np.random.default_rng([43, m, seed])
+        A = rng.standard_normal((m, m + 2))
+        return A @ A.T + 1e-3 * np.eye(m), rng.standard_normal(m)
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 130, 200, 500])
+    def test_matches_dense_solve(self, m):
+        for seed in range(3):
+            M, r = self._spd(m, seed)
+            want = np.linalg.solve(M, r)
+            bound = 100 * m * np.finfo(float).eps * np.linalg.cond(M) * np.abs(want).max()
+            assert np.abs(_spd_solver(M)(r) - want).max() <= bound, seed
+
+    @pytest.mark.parametrize("m", [1, 12, 50, _BLOCK])
+    def test_one_block_is_two_triangular_solves(self, m):
+        # Up to one block, every solve keeps the bits of solve(L^T, solve(L, r)).
+        for seed in range(3):
+            M, r = self._spd(m, seed)
+            L = np.linalg.cholesky(M)
+            assert np.array_equal(_cho_solve(L, r), np.linalg.solve(L.T, np.linalg.solve(L, r)))
+
+    def test_newton_step_factors_a_nonsingular_block(self):
+        M, r = self._spd(130, 0)
+        assert np.array_equal(_newton_step(M, r), _cho_solve(np.linalg.cholesky(M), r))
+
+    def test_finish_keeps_least_squares_on_rank_deficient_block(self, monkeypatch):
+        # At rho = -1 the fixture's finish sees 6 tight goods and only 5 agents.
+        blocks = []
+        monkeypatch.setattr(solver, "_newton_step", lambda N, rhs: blocks.append((N, rhs)) or _newton_step(N, rhs))
+        inst, rho = five_by_seven_instance(), Rho.finite(-1.0)
+        res = solve_ces(inst, rho)
+        assert kkt_oracle(inst, rho, res.u_star, res.q) <= TOL_KKT
+        assert blocks
+        factored = 0
+        for N, rhs in blocks:
+            assert np.linalg.matrix_rank(N) < len(N) == 6
+            assert np.array_equal(_newton_step(N, rhs), np.linalg.lstsq(N, rhs, rcond=None)[0])
+            factored += solver._cholesky(N) is not None
+        # At least one block has a Cholesky factor: the rank rule, not a failed factorization, chose least squares.
+        assert factored
+
+    @pytest.mark.parametrize("rv", [-2.0, 0.5])
+    def test_certified_1000x200(self, rv):
+        # m = 200: every direction solve takes four blocks.
+        inst, rho = sparse_instance(np.random.default_rng([1, 19]), 1000, 200), Rho.finite(rv)
+        res = solve_ces(inst, rho)
+        assert kkt_oracle(inst, rho, res.u_star, res.q) <= TOL_KKT
+        s = np.array(inst.supplies)
+        gap = np.abs(s - res.u_star @ inst.weights)
+        priced = res.q > TOL_DUAL
+        assert np.all(gap[priced] <= TOL_KKT * np.maximum(1.0, s[priced]))

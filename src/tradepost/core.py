@@ -213,9 +213,13 @@ class Allocation:
 
 
 def require_positive(**values: float) -> None:
-    """Reject a tolerance or iteration budget that is not a finite number > 0, naming it."""
+    """Reject a tolerance or iteration budget that is not a finite real number > 0, naming it.
+
+    A bool, although a number in Python, is rejected too.
+    """
     for name, value in values.items():
-        if not (math.isfinite(value) and value > 0):
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 

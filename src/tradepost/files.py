@@ -1,6 +1,7 @@
 """JSON file formats for instances, bids, allocations, and curve families."""
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import sys
@@ -17,13 +18,13 @@ class ParseError(ValueError):
     """An input file could not be parsed; message carries location detail."""
 
 
-def _load_json(path: str | Path) -> Any:
+def _load_json(path: str | Path) -> tuple[Any, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text), text
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
@@ -35,7 +36,7 @@ def _is_number(cell: Any) -> bool:
 
 def load_instance(path: str | Path) -> Instance:
     """Read ``{"supplies": [...], "agents": [{"desired": [...]}, ...]}``."""
-    data = _load_json(path)
+    data, _ = _load_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
     supplies = data.get("supplies")
@@ -74,7 +75,7 @@ def save_instance(inst: Instance, path: str | Path) -> None:
 
 def load_bids(path: str | Path) -> BidMatrix:
     """Read an n-by-m array whose cells are numbers or the string "beta"."""
-    data = _load_json(path)
+    data, _ = _load_json(path)
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ParseError(f"{path}: bids must be a nonempty 2-D array")
     try:
@@ -85,10 +86,17 @@ def load_bids(path: str | Path) -> BidMatrix:
 
 def load_allocation(path: str | Path) -> Allocation:
     """Read an n-by-m array of finite nonnegative numbers."""
-    data = _load_json(path)
+    data, text = _load_json(path)
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ParseError(f"{path}: allocation must be a nonempty 2-D array")
     m, largest = len(data[0]), sys.float_info.max
+    # With no '"', true or false the text holds only numbers, nulls and arrays, so one conversion
+    # and Allocation's own check screen it ("<": an int just above the bound converts to it).
+    if '"' not in text and "true" not in text and "false" not in text:
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            x = np.array(data, dtype=float)
+            if (x < largest).all():
+                return Allocation(x)
 
     def bad_cell(i: int, j: int) -> ParseError:
         return ParseError(f"{path}: allocation[{i}][{j}]: expected a finite number >= 0, got {data[i][j]!r}")
@@ -111,7 +119,7 @@ def load_allocation(path: str | Path) -> Allocation:
 
 def load_curves(path: str | Path) -> CurveFamily:
     """Read ``[[coeff, degree], ...]``, one pair per good."""
-    data = _load_json(path)
+    data, _ = _load_json(path)
     if not isinstance(data, list) or not data:
         raise ParseError(f"{path}: curves must be a nonempty array of [coeff, degree] pairs")
     curves = []
@@ -152,20 +160,23 @@ def dumps(payload: Any) -> str:
     The text is exactly ``json.dumps(plain, indent=2, sort_keys=True)`` plus
     a newline, which is the report format; ``plain`` is ``payload`` with each
     numpy array replaced by its ``tolist()`` and each ``BidMatrix`` by its
-    ``to_lists()``.  That call runs ``json``'s pure-Python encoder, because
-    the C encoder takes no indent; here each list of plain scalars, such as a
-    row of a matrix, goes through the C encoder in one call instead, with the
-    line break and indent in its item separator.
+    ``to_lists()``.  Its pieces are appended to one list, joined once; each
+    list of plain scalars, such as a row of a matrix, is one call of the C
+    encoder (which takes no indent) with the line break and indent in its
+    item separator.
 
     A 1-D or 2-D float64 array, or a bid matrix's amounts, whose cells are
-    finite and at most half nonzero is written straight from the array: every
-    zero cell is the one string ``0.0``, only the nonzero cells (-0.0
-    included) go through ``float.__repr__``, as the C encoder's do, and beta
-    cells are ``"beta"``.  Any other array (another dtype, an empty
+    finite and at most half nonzero is written from the array as runs of one
+    zero-cell string between its marked cells: the nonzero ones (-0.0
+    included), through ``float.__repr__`` as the C encoder's, and the beta
+    cells, as ``"beta"``.  Any other array (another dtype, an empty
     dimension, more dimensions, a NaN or infinite cell, or mostly nonzero
     cells, which the C encoder writes faster) is laid out from its list form.
     """
-    return _layout(payload, "\n") + "\n"
+    out: list[str] = []
+    _emit(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 #: Cell types the C encoder writes exactly as the indenting encoder does:
@@ -188,55 +199,60 @@ def _plain(obj: Any) -> Any:
     return json.JSONEncoder().default(obj)  # raises json's own TypeError
 
 
-def _layout_array(obj: np.ndarray | BidMatrix, newline: str) -> str:
-    """An array or bid matrix laid out as its list form is (see ``dumps``)."""
-    values, beta = (obj.amounts, obj.beta) if isinstance(obj, BidMatrix) else (obj, None)
+def _emit(obj: Any, newline: str, out: list[str]) -> None:
+    """Append ``obj`` laid out as by ``json.dumps(indent=2, sort_keys=True)``,
+    at the depth whose line break plus indent is ``newline``."""
+    inner = newline + "  "
+    if isinstance(obj, (np.ndarray, BidMatrix)):
+        if not _emit_runs(obj, newline, out):
+            _emit(_plain(obj), newline, out)
+    elif isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) <= _PLAIN:
+            out += ("[" + inner, _row_encoder(inner)(obj)[1:-1])
+        else:
+            for k, value in enumerate(obj):
+                out.append("," + inner if k else "[" + inner)
+                _emit(value, inner, out)
+        out.append(newline + "]")
+    elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        for k, key in enumerate(sorted(obj)):
+            out.append(f"{',' if k else '{'}{inner}{json.dumps(key)}: ")
+            _emit(obj[key], inner, out)
+        out.append(newline + "}")
+    elif isinstance(obj, dict) and obj:
+        # json converts and sorts non-string keys its own way; JSON text
+        # holds no raw newline, so re-indenting its lines is exact.
+        out.append(json.dumps(obj, indent=2, sort_keys=True, default=_plain).replace("\n", newline))
+    else:
+        out.append(json.dumps(obj))
+
+
+def _emit_runs(obj: np.ndarray | BidMatrix, newline: str, out: list[str]) -> bool:
+    """Append a mostly zero array or bid matrix as runs of zero cells (see ``dumps``); False if it is not one."""
+    values, beta = (obj.amounts, obj.beta.ravel()) if isinstance(obj, BidMatrix) else (obj, np.zeros(obj.size, bool))
     # Subclasses such as masked arrays have list forms of their own.
-    exact = type(values) is np.ndarray and values.dtype == np.float64
-    if not exact or values.ndim not in (1, 2) or not values.size:
-        return _layout(_plain(obj), newline)
+    if type(values) is not np.ndarray or values.dtype != np.float64 or values.ndim not in (1, 2) or not values.size:
+        return False
     flat = values.ravel()
     nonzero = (flat != 0) | np.signbit(flat)
     cells = flat[nonzero]
     if 2 * cells.size > flat.size or not np.isfinite(cells).all():
-        return _layout(_plain(obj), newline)
-    text = ["0.0"] * flat.size
-    for k, number in zip(np.flatnonzero(nonzero).tolist(), map(float.__repr__, cells.tolist())):
-        text[k] = number
-    if beta is not None:
-        for k in np.flatnonzero(beta).tolist():
-            text[k] = '"beta"'
+        return False
+    # The events are the marked cells and the row starts; a run of zero cells follows each.
     inner = newline + "  "
-    if values.ndim == 1:
-        body = ("," + inner).join(text)
-        return f"[{inner}{body}{newline}]"
-    m, row_inner = values.shape[1], inner + "  "
-    rows = [("," + row_inner).join(text[k : k + m]) for k in range(0, flat.size, m)]
-    body = f"{inner}],{inner}[{row_inner}".join(rows)
-    return f"[{inner}[{row_inner}{body}{inner}]{newline}]"
-
-
-def _layout(obj: Any, newline: str) -> str:
-    """``obj`` laid out as by ``json.dumps(indent=2, sort_keys=True)``, at the
-    depth whose line break plus indent is ``newline``."""
-    inner = newline + "  "
-    if isinstance(obj, (np.ndarray, BidMatrix)):
-        return _layout_array(obj, newline)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if set(map(type, obj)) <= _PLAIN:
-            body = _row_encoder(inner)(obj)[1:-1]
-        else:
-            body = ("," + inner).join([_layout(v, inner) for v in obj])
-        return f"[{inner}{body}{newline}]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if not all(isinstance(k, str) for k in obj):
-            # json converts and sorts non-string keys its own way; JSON text
-            # holds no raw newline, so re-indenting its lines is exact.
-            return json.dumps(obj, indent=2, sort_keys=True, default=_plain).replace("\n", newline)
-        body = ("," + inner).join([f"{json.dumps(k)}: {_layout(obj[k], inner)}" for k in sorted(obj)])
-        return f"{{{inner}{body}{newline}}}"
-    return json.dumps(obj)
+    m, item = (flat.size, inner) if values.ndim == 1 else (values.shape[1], inner + "  ")
+    head, tail = ("[" + inner, newline + "]") if values.ndim == 1 else (f"[{inner}[{item}", f"{inner}]{newline}]")
+    event = nonzero | beta
+    event[::m] = True
+    at = np.flatnonzero(event)
+    pieces = np.full((at.size, 3), "0.0", dtype=object)
+    pieces[:, 0] = "," + item
+    pieces[at % m == 0, 0] = f"{inner}],{inner}[{item}"
+    pieces[0, 0] = head
+    pieces[beta[at], 1] = '"beta"'
+    pieces[nonzero[at], 1] = list(map(float.__repr__, cells.tolist()))
+    gaps, run = np.unique(np.diff(at, append=flat.size) - 1, return_inverse=True)
+    pieces[:, 2] = np.array([("," + item + "0.0") * g for g in gaps.tolist()], dtype=object)[run]
+    out += pieces.ravel().tolist()
+    out.append(tail)
+    return True

@@ -180,11 +180,12 @@ class BidMatrix:
     def from_lists(cls, data: Sequence[Sequence[float | str]]) -> "BidMatrix":
         """Parse the JSON form; every malformed cell is reported by position.
 
-        A row of only floats and "beta" tokens is filled whole after one pass
-        that finds its other cells, and all such cells are range-checked in
-        one array pass; other rows are checked cell by cell.  If anything is
-        bad, every row is checked again cell by cell, so that the error names
-        the first bad cell in row-major order.
+        A row of only floats is filled whole after one screen of its cell
+        types, and a row of floats and "beta" tokens after one pass that finds
+        its other cells; all such cells are range-checked in one array pass,
+        and other rows are checked cell by cell.  If anything is bad, every
+        row is checked again cell by cell, so that the error names the first
+        bad cell in row-major order.
         """
         if not data:
             raise ValueError("bids must be a nonempty 2-D array")
@@ -195,10 +196,11 @@ class BidMatrix:
             for i, raw in enumerate(data):
                 if not (isinstance(raw, (list, tuple)) and len(raw) == m):
                     raise ValueError  # a malformed row: the cell-by-cell pass names it
-                other = [j for j, kind in enumerate(map(type, raw)) if kind is not float]
-                if not other:
+                if set(map(type, raw)) <= {float}:
                     amounts[i] = raw
-                elif all(type(raw[j]) is str and _is_beta(raw[j]) for j in other):
+                    continue
+                other = [j for j, kind in enumerate(map(type, raw)) if kind is not float]
+                if all(type(raw[j]) is str and _is_beta(raw[j]) for j in other):
                     row = list(raw)
                     for j in other:
                         row[j] = 0.0

@@ -3,7 +3,8 @@
 ``files.dumps`` must give exactly ``json.dumps(indent=2, sort_keys=True)``
 text plus a newline: that is the report format the golden reports pin.  The
 bid loader must name the first bad cell in row-major order, whichever of its
-paths a row takes.
+paths a row takes, and the allocation loader must give the same messages
+whether or not its whole-file screen applies.
 """
 import json
 import math
@@ -210,6 +211,126 @@ class TestDumpsArrays:
     def test_array_subclass_uses_its_own_list_form(self):
         masked = np.ma.masked_array([0.0, 2.0, 0.0, 0.0], mask=[False, True, False, False])
         assert files.dumps({"m": masked}) == _reference({"m": masked.tolist()})
+
+
+def _cells(shape, marks):
+    """A float64 array of ``shape`` holding ``marks``, a {index: value} map, in zeros."""
+    value = np.zeros(shape)
+    for index, cell in marks.items():
+        value[index] = cell
+    return value
+
+
+def _bids(shape, amounts, betas):
+    beta = np.zeros(shape, dtype=bool)
+    for index in betas:
+        beta[index] = True
+    return BidMatrix(_cells(shape, amounts), beta)
+
+
+class TestDumpsRuns:
+    """Edges of the run layout: where runs of zero cells start and end, and where it hands over to the list form."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.zeros((3, 4)),
+            np.zeros(5),
+            _cells((5, 6), {(0, 2): 1.5, (4, 5): 2.0}),
+            _cells((4, 5), {(0, 0): 0.25, (0, 4): 3.0, (2, 0): 1.0, (2, 4): 7.0, (3, 4): 9.5}),
+            _cells((3, 4), {(0, 0): 1.0}),
+            _cells((3, 4), {(2, 3): 1.0}),
+            _cells((5, 1), {(2, 0): 4.0}),
+            _cells((5, 1), {(0, 0): 4.0, (4, 0): 0.5}),
+            _cells((1, 7), {(0, 0): 0.1, (0, 6): 0.2}),
+            _cells((1, 7), {(0, 3): 0.1}),
+            _cells((7,), {0: 0.1, 6: 0.2}),
+            _cells((7,), {3: 0.1}),
+            np.zeros(1),
+            np.zeros((1, 1)),
+            _cells((2,), {1: 2.5}),
+            _cells((2, 6), {(0, 1): -0.0, (1, 5): 5e-324, (1, 0): -5e-324}),
+            _cells((8,), {0: -0.0, 7: 5e-324}),
+            _bids((3, 5), {(1, 0): 1.0}, [(0, 0), (1, 4), (2, 0), (2, 4)]),
+            _bids((2, 4), {}, [(0, 0), (1, 3)]),
+            _bids((4, 1), {(3, 0): 2.0}, [(0, 0), (2, 0)]),
+            _bids((1, 6), {(0, 2): 1.0}, [(0, 0), (0, 5)]),
+        ],
+        ids=lambda v: str(getattr(v, "shape", None) or v.amounts.shape),
+    )
+    def test_runs_match_list_form(self, value, depth):
+        assert files._emit_runs(value, "\n", [])
+        payload = _nest(value, depth)
+        assert files.dumps(payload) == _reference(_plain(payload))
+
+    @pytest.mark.parametrize(
+        "value, runs",
+        [
+            (_cells((2, 4), {(0, 0): 1.0, (0, 3): 2.0, (1, 1): 3.0, (1, 2): 4.0}), True),
+            (_cells((2, 4), {(0, 0): 1.0, (0, 3): 2.0, (1, 1): 3.0, (1, 2): 4.0, (1, 3): 5.0}), False),
+            (_cells((4,), {1: -0.0, 2: 1.0}), True),
+            (_cells((3,), {1: -0.0, 2: 1.0}), False),
+            (_bids((2, 2), {(0, 1): 1.0}, [(0, 0), (1, 0)]), True),
+            (_bids((2, 2), {(0, 1): 1.0, (1, 1): 2.0, (0, 0): 3.0}, [(1, 0)]), False),
+        ],
+    )
+    def test_half_nonzero_is_the_last_run_layout(self, value, runs):
+        # Beta cells count as zero cells here: only nonzero amounts make an array dense.
+        assert files._emit_runs(value, "\n", []) is runs
+        for depth in (0, 1, 2):
+            payload = _nest(value, depth)
+            assert files.dumps(payload) == _reference(_plain(payload))
+
+
+class TestLoadAllocation:
+    _HUGE = "1" + "0" * 400
+    _ABOVE_LARGEST = str(int(sys.float_info.max) + 1)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[[1.0, true], [0.5, 2.0]]", "allocation[0][1]: expected a finite number >= 0, got True"),
+            ("[[1.0, false]]", "allocation[0][1]: expected a finite number >= 0, got False"),
+            ("[[0.5, 1.0], [null, 2.0]]", "allocation[1][0]: expected a finite number >= 0, got None"),
+            ('[[0.5, "x"]]', "allocation[0][1]: expected a finite number >= 0, got 'x'"),
+            ('[[0.5, "1.5"]]', "allocation[0][1]: expected a finite number >= 0, got '1.5'"),
+            ("[[1.0, [2.0]]]", "allocation[0][1]: expected a finite number >= 0, got [2.0]"),
+            ("[[[1.0]]]", "allocation[0][0]: expected a finite number >= 0, got [1.0]"),
+            ("[[{}]]", "allocation[0][0]: expected a finite number >= 0, got {}"),
+            ("[[0.5, 1.0], [1e400, 2.0]]", "allocation[1][0]: expected a finite number >= 0, got inf"),
+            ("[[0.5, NaN]]", "allocation[0][1]: expected a finite number >= 0, got nan"),
+            ("[[1.0, -5e-324]]", "allocation[0][1]: expected a finite number >= 0, got -5e-324"),
+            ("[[1.0, 2.0], [3.0]]", "allocation[1]: expected a row of 2 cells"),
+            (f"[[1.0, 2.0], [3.0, {_HUGE}]]", f"allocation[1][1]: expected a finite number >= 0, got {_HUGE}"),
+            (f"[[1.0, {_ABOVE_LARGEST}]]", f"allocation[0][1]: expected a finite number >= 0, got {_ABOVE_LARGEST}"),
+            # A row holding a non-float cell is checked before the rows of floats.
+            ("[[NaN, 1.0], [1, -1]]", "allocation[1][1]: expected a finite number >= 0, got -1"),
+            ("[[-1.0, 0.5], [null, 1.0]]", "allocation[1][0]: expected a finite number >= 0, got None"),
+        ],
+    )
+    def test_bad_cell_messages(self, tmp_path, text, message):
+        path = tmp_path / "allocation.json"
+        path.write_text(text)
+        with pytest.raises(files.ParseError) as got:
+            files.load_allocation(path)
+        assert str(got.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, cells",
+        [
+            ("[[1.0, 2], [3, -0.0]]", [[1.0, 2.0], [3.0, -0.0]]),
+            (f"[[{sys.float_info.max!r}, 1]]", [[sys.float_info.max, 1.0]]),
+            ("[[0.0]]", [[0.0]]),
+        ],
+    )
+    def test_numbers_load_as_floats(self, tmp_path, text, cells):
+        path = tmp_path / "allocation.json"
+        path.write_text(text)
+        x = files.load_allocation(path).x
+        assert x.dtype == np.float64
+        assert x.tolist() == cells
+        assert np.array_equal(np.signbit(x), np.signbit(cells))
 
 
 class TestLoadBids:

@@ -105,8 +105,9 @@ class TestSolveCes:
     @pytest.mark.parametrize("rho", [Rho.finite(-1.0), Rho.one()], ids=str)
     @pytest.mark.parametrize(
         "name, value",
-        [("tol_kkt", np.nan), ("tol_kkt", np.inf), ("tol_kkt", 0.0), ("tol_kkt", -1.0), ("max_iter", 0), ("max_iter", -1),
-         ("max_iter", 2.5), ("max_iter", True)],
+        [("tol_kkt", np.nan), ("tol_kkt", np.inf), ("tol_kkt", 0.0), ("tol_kkt", -1.0), ("tol_kkt", "1e-7"),
+         ("tol_kkt", None), ("tol_kkt", True), ("max_iter", 0), ("max_iter", -1), ("max_iter", 2.5),
+         ("max_iter", True)],
     )
     def test_rejects_invalid_tolerance_or_budget(self, rho, name, value):
         # Before the check, these ran the whole budget and raised NonConvergence.

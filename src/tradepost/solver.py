@@ -145,7 +145,7 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
         return float(np.min(np.where(dv < 0, -v / dv, 1.0), initial=1.0))
 
 
-#: Rows per block of the triangular solves in :func:`_cho_solve`.
+#: Rows per block of the triangular solves in :func:`_cho_solver`.
 _BLOCK = 64
 
 
@@ -157,24 +157,32 @@ def _cholesky(M: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _cho_solver(L: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Solve L L^T d = rhs by block forward and back substitution.
 
-    numpy has no triangular solve: each diagonal block of at most ``_BLOCK``
-    rows is one small general solve, and the rest of a block row is one
-    matvec.  With m <= ``_BLOCK`` these are exactly the two solves on L and
-    L^T.
+    numpy has no triangular solve.  With m <= ``_BLOCK`` a solve is exactly
+    the two solves on L and L^T.  With more rows each diagonal block of at
+    most ``_BLOCK`` rows is inverted once per factor, so that each
+    right-hand side costs one small matvec per diagonal block and one per
+    block row.
     """
+    if len(L) <= _BLOCK:
+        return lambda rhs: np.linalg.solve(L.T, np.linalg.solve(L, rhs))
     starts = range(0, len(L), _BLOCK)
-    y = np.empty_like(rhs)
-    for k in starts:
-        e = k + _BLOCK
-        y[k:e] = np.linalg.solve(L[k:e, k:e], rhs[k:e] - L[k:e, :k] @ y[:k])
-    d = np.empty_like(rhs)
-    for k in reversed(starts):
-        e = k + _BLOCK
-        d[k:e] = np.linalg.solve(L[k:e, k:e].T, y[k:e] - L[e:, k:e].T @ d[e:])
-    return d
+    inverse = {k: np.linalg.inv(L[k : k + _BLOCK, k : k + _BLOCK]) for k in starts}
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        y = np.empty_like(rhs)
+        for k in starts:
+            e = k + _BLOCK
+            y[k:e] = inverse[k] @ (rhs[k:e] - L[k:e, :k] @ y[:k])
+        d = np.empty_like(rhs)
+        for k in reversed(starts):
+            e = k + _BLOCK
+            d[k:e] = inverse[k].T @ (y[k:e] - L[e:, k:e].T @ d[e:])
+        return d
+
+    return solve
 
 
 def _spd_solver(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -182,7 +190,7 @@ def _spd_solver(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     L = _cholesky(M)
     if L is None:
         return lambda rhs: np.linalg.lstsq(M, rhs, rcond=None)[0]
-    return lambda rhs: _cho_solve(L, rhs)
+    return _cho_solver(L)
 
 
 def _newton_step(N: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -195,7 +203,7 @@ def _newton_step(N: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     L = _cholesky(N)
     if L is not None and np.min(np.diag(L)) ** 2 > _EPS * len(N) * np.max(np.diag(N)):
-        return _cho_solve(L, rhs)
+        return _cho_solver(L)(rhs)
     return np.linalg.lstsq(N, rhs, rcond=None)[0]
 
 

@@ -23,7 +23,7 @@ from tradepost import (
 )
 from tradepost import solver
 from tradepost.files import load_instance
-from tradepost.solver import _BLOCK, _cho_solve, _newton_step, _normal_matrix, _spd_solver
+from tradepost.solver import _BLOCK, _cho_solver, _newton_step, _normal_matrix, _spd_solver
 
 COMMON = dict(deadline=None, derandomize=True)
 DATA = Path(__file__).parent / "data"
@@ -420,11 +420,11 @@ class TestCholeskySolves:
         for seed in range(3):
             M, r = self._spd(m, seed)
             L = np.linalg.cholesky(M)
-            assert np.array_equal(_cho_solve(L, r), np.linalg.solve(L.T, np.linalg.solve(L, r)))
+            assert np.array_equal(_cho_solver(L)(r), np.linalg.solve(L.T, np.linalg.solve(L, r)))
 
     def test_newton_step_factors_a_nonsingular_block(self):
         M, r = self._spd(130, 0)
-        assert np.array_equal(_newton_step(M, r), _cho_solve(np.linalg.cholesky(M), r))
+        assert np.array_equal(_newton_step(M, r), _cho_solver(np.linalg.cholesky(M))(r))
 
     def test_finish_keeps_least_squares_on_rank_deficient_block(self, monkeypatch):
         # At rho = -1 the fixture's finish sees 6 tight goods and only 5 agents.

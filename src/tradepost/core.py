@@ -218,7 +218,8 @@ def require_positive(**values: float) -> None:
     A bool, although a number in Python, is rejected too.
     """
     for name, value in values.items():
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        # float and int go first: the numbers.Real check is slow, and every best_response call runs this.
+        real = not isinstance(value, bool) and isinstance(value, (float, int, numbers.Real))
         if not (real and math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 

@@ -245,8 +245,7 @@ def _emit_runs(obj: np.ndarray | BidMatrix, newline: str, out: list[str]) -> boo
     event = nonzero | beta
     event[::m] = True
     at = np.flatnonzero(event)
-    pieces = np.full((at.size, 3), "0.0", dtype=object)
-    pieces[:, 0] = "," + item
+    pieces = np.full((at.size, 3), ["," + item, "0.0", ""], dtype=object)
     pieces[at % m == 0, 0] = f"{inner}],{inner}[{item}"
     pieces[0, 0] = head
     pieces[beta[at], 1] = '"beta"'

@@ -60,6 +60,14 @@ class Instance:
         )
         self._validate()
 
+    @classmethod
+    def _from_checked(cls, supplies: tuple[float, ...], desired: tuple[frozenset[int], ...]) -> "Instance":
+        """An instance from fields its caller has already checked as ``__init__`` and ``_validate`` would."""
+        inst = cls.__new__(cls)
+        object.__setattr__(inst, "supplies", supplies)
+        object.__setattr__(inst, "desired", desired)
+        return inst
+
     def _validate(self) -> None:
         if len(self.supplies) < 1:
             raise ValueError("need at least one good")

@@ -1,9 +1,10 @@
 """JSON file formats for instances, bids, allocations, and curve families."""
 from __future__ import annotations
 
-import contextlib
 import functools
+import itertools
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -18,15 +19,22 @@ class ParseError(ValueError):
     """An input file could not be parsed; message carries location detail."""
 
 
-def _load_json(path: str | Path) -> tuple[Any, str]:
+def _read_text(path: str | Path) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _parse_json(path: str | Path, text: str) -> Any:
     try:
-        return json.loads(text), text
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def _load_json(path: str | Path) -> Any:
+    return _parse_json(path, _read_text(path))
 
 
 def _is_number(cell: Any) -> bool:
@@ -34,9 +42,83 @@ def _is_number(cell: Any) -> bool:
     return isinstance(cell, (int, float)) and not isinstance(cell, bool)
 
 
+#: Byte tables of ``_number_matrix``: JSON's four whitespace bytes; every
+#: byte but the separators ``,[]``, deleted to leave the separators; and
+#: maps to 1 of the separators, and of the token bytes (neither separators
+#: nor whitespace).
+_WHITESPACE = b" \t\n\r"
+_NOT_SEPARATOR = bytes(c for c in range(256) if c not in b",[]")
+_SEPARATOR = bytes(c in b",[]" for c in range(256))
+_TOKEN = bytes(c not in b",[]" + _WHITESPACE for c in range(256))
+#: A JSON number, but not a negative int: ``json`` reads ``-0`` as the int 0, which has no sign bit.
+_NUMBER = re.compile(rb"(?:-(?=[0-9]+[.eE]))?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+
+
+def _number_matrix(text: str, beta_allowed: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """The cells of a mostly zero n-by-m JSON array of numbers, read in one pass: ``(values, beta)``.
+
+    ``beta`` marks the ``"beta"`` cells (value 0), taken only if
+    ``beta_allowed``.  The result is given only where ``json.loads`` would
+    read the same numbers, and the loader's own checks accept them: ASCII
+    text whose separators, with JSON whitespace deleted, are exactly those
+    of ``[[c,...,c],...,[c,...,c]]``, no whitespace inside a cell, and cells
+    that are exact ``"beta"`` tokens or JSON numbers other than negative
+    ints, each finite, ``>= 0`` and ``< sys.float_info.max`` (an int just
+    above it converts to it).  At most one cell in 8 may be other than
+    ``0.0``; only those are converted, each by ``float`` as ``json``
+    converts them.  Anything else gives None, and the caller takes the
+    ``json`` route, which names the fault.
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    packed = raw.translate(None, _WHITESPACE)
+    separators = packed.translate(None, _NOT_SEPARATOR)
+    m = separators.find(b"]") - 1
+    if m < 1:
+        return None
+    n, rest = divmod(len(separators) - 1, m + 2)
+    if rest or n < 1 or separators != b"[" + b",".join([b"[" + b"," * (m - 1) + b"]"] * n) + b"]":
+        return None
+    # Row i's separators are number 1 + i * (m + 2) on: its "[", m - 1 commas, "]", and a comma (or the final "]").
+    at = np.flatnonzero(np.frombuffer(packed.translate(_SEPARATOR), dtype=bool))[1:].reshape(n, m + 2)
+    start = at[:, :m] + 1
+    size = at[:, 1 : m + 1] - start
+    if size.min() < 1:
+        return None
+    b = np.frombuffer(packed, dtype=np.uint8)
+    zero = (size == 3) & (b[start] == ord("0")) & (b[start + 1] == ord(".")) & (b[start + 2] == ord("0"))
+    cells = np.flatnonzero(~zero)
+    if 8 * cells.size > n * m:
+        return None  # json reads the other cells faster than the checks and float below
+    # With every cell nonempty, n * m runs of token bytes in the text mean that
+    # no whitespace splits a cell and that nothing stands outside the cells.
+    token = np.frombuffer(raw.translate(_TOKEN), dtype=np.uint8)
+    if np.count_nonzero(token[1:] > token[:-1]) + token[0] != n * m:
+        return None
+    words = [packed[i : i + k] for i, k in zip(start.ravel()[cells].tolist(), size.ravel()[cells].tolist())]
+    values, beta = np.zeros(n * m), np.zeros(n * m, dtype=bool)
+    if beta_allowed:
+        marked = np.array([w == b'"beta"' for w in words], dtype=bool)
+        beta[cells[marked]] = True
+        cells, words = cells[~marked], [w for w in words if w != b'"beta"']
+    if words:
+        if not all(map(_NUMBER.fullmatch, words)):
+            return None
+        numbers = np.array(list(map(float, words)))
+        if not ((numbers >= 0) & (numbers < sys.float_info.max)).all():
+            return None
+        values[cells] = numbers
+    return values.reshape(n, m), beta.reshape(n, m)
+
+
 def load_instance(path: str | Path) -> Instance:
-    """Read ``{"supplies": [...], "agents": [{"desired": [...]}, ...]}``."""
-    data, _ = _load_json(path)
+    """Read ``{"supplies": [...], "agents": [{"desired": [...]}, ...]}``.
+
+    Each cell is checked once, here; if a good set is empty, out of range, or
+    leaves a good undesired, ``Instance`` names the fault.
+    """
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
     supplies = data.get("supplies")
@@ -55,10 +137,14 @@ def load_instance(path: str | Path) -> Instance:
         goods = agent["desired"]
         if not isinstance(goods, list):
             raise ParseError(f"{path}: agents[{i}].desired must be an array of good indices")
-        for k, cell in enumerate(goods):
-            if not isinstance(cell, int) or isinstance(cell, bool):
-                raise ParseError(f"{path}: agents[{i}].desired[{k}]: expected a good index, got {cell!r}")
+        if not set(map(type, goods)) <= {int}:
+            for k, cell in enumerate(goods):
+                if type(cell) is not int:
+                    raise ParseError(f"{path}: agents[{i}].desired[{k}]: expected a good index, got {cell!r}")
         desired.append(goods)
+    flat = list(itertools.chain.from_iterable(desired))
+    if all(desired) and 0 <= min(flat) and max(flat) < len(supplies) and len(set(flat)) == len(supplies):
+        return Instance._from_checked(tuple(map(float, supplies)), tuple(map(frozenset, desired)))
     try:
         return Instance(supplies, desired)
     except (TypeError, ValueError) as exc:
@@ -75,7 +161,14 @@ def save_instance(inst: Instance, path: str | Path) -> None:
 
 def load_bids(path: str | Path) -> BidMatrix:
     """Read an n-by-m array whose cells are numbers or the string "beta"."""
-    data, _ = _load_json(path)
+    text = _read_text(path)
+    cells = _number_matrix(text, beta_allowed=True)
+    return BidMatrix(*cells) if cells is not None else _bids_from_json(path, text)
+
+
+def _bids_from_json(path: str | Path, text: str) -> BidMatrix:
+    """``load_bids`` through ``json.loads``: any valid JSON, and the one source of its messages."""
+    data = _parse_json(path, text)
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ParseError(f"{path}: bids must be a nonempty 2-D array")
     try:
@@ -86,17 +179,17 @@ def load_bids(path: str | Path) -> BidMatrix:
 
 def load_allocation(path: str | Path) -> Allocation:
     """Read an n-by-m array of finite nonnegative numbers."""
-    data, text = _load_json(path)
+    text = _read_text(path)
+    cells = _number_matrix(text, beta_allowed=False)
+    return Allocation(cells[0]) if cells is not None else _allocation_from_json(path, text)
+
+
+def _allocation_from_json(path: str | Path, text: str) -> Allocation:
+    """``load_allocation`` through ``json.loads``: any valid JSON, and the one source of its messages."""
+    data = _parse_json(path, text)
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ParseError(f"{path}: allocation must be a nonempty 2-D array")
     m, largest = len(data[0]), sys.float_info.max
-    # With no '"', true or false the text holds only numbers, nulls and arrays, so one conversion
-    # and Allocation's own check screen it ("<": an int just above the bound converts to it).
-    if '"' not in text and "true" not in text and "false" not in text:
-        with contextlib.suppress(TypeError, ValueError, OverflowError):
-            x = np.array(data, dtype=float)
-            if (x < largest).all():
-                return Allocation(x)
 
     def bad_cell(i: int, j: int) -> ParseError:
         return ParseError(f"{path}: allocation[{i}][{j}]: expected a finite number >= 0, got {data[i][j]!r}")
@@ -118,19 +211,33 @@ def load_allocation(path: str | Path) -> Allocation:
 
 
 def load_curves(path: str | Path) -> CurveFamily:
-    """Read ``[[coeff, degree], ...]``, one pair per good."""
-    data, _ = _load_json(path)
+    """Read ``[[coeff, degree], ...]``, one pair per good.
+
+    The pairs are checked as two arrays, in one pass; a fault is reported at
+    the first pair that has one, as a pair-by-pair reading would report it.
+    """
+    data = _load_json(path)
     if not isinstance(data, list) or not data:
         raise ParseError(f"{path}: curves must be a nonempty array of [coeff, degree] pairs")
-    curves = []
-    for j, pair in enumerate(data):
-        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
-            raise ParseError(f"{path}: curves[{j}]: expected a [coeff, degree] pair of numbers, got {pair!r}")
-        try:
-            curves.append(PowerCurve(float(pair[0]), float(pair[1])))
-        except (OverflowError, ValueError) as exc:
-            raise ParseError(f"{path}: curves[{j}]: {exc}") from exc
-    return CurveFamily(curves)
+    shaped = (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair)) for pair in data)
+    count = next((j for j, ok in enumerate(shaped) if not ok), len(data))
+
+    def name_first_fault(pairs: list) -> None:
+        for j, (coeff, degree) in enumerate(pairs):
+            try:
+                PowerCurve(float(coeff), float(degree))
+            except (OverflowError, ValueError) as exc:
+                raise ParseError(f"{path}: curves[{j}]: {exc}") from exc
+
+    if count < len(data):
+        name_first_fault(data[:count])
+        raise ParseError(f"{path}: curves[{count}]: expected a [coeff, degree] pair of numbers, got {data[count]!r}")
+    try:
+        pairs = np.array(data, dtype=float)
+        return CurveFamily._from_arrays(pairs[:, 0], pairs[:, 1])
+    except (OverflowError, ValueError):
+        name_first_fault(data)
+        raise
 
 
 def parse_curve_spec(spec: str, m: int) -> CurveFamily:
@@ -165,19 +272,24 @@ def dumps(payload: Any) -> str:
     encoder (which takes no indent) with the line break and indent in its
     item separator.
 
-    A 1-D or 2-D float64 array, or a bid matrix's amounts, whose cells are
-    finite and at most half nonzero is written from the array as runs of one
-    zero-cell string between its marked cells: the nonzero ones (-0.0
-    included), through ``float.__repr__`` as the C encoder's, and the beta
-    cells, as ``"beta"``.  Any other array (another dtype, an empty
-    dimension, more dimensions, a NaN or infinite cell, or mostly nonzero
-    cells, which the C encoder writes faster) is laid out from its list form.
+    A 1-D or 2-D float64 array, or a bid matrix's amounts, of at least
+    ``_RUN_CELLS`` cells that are finite and at most half nonzero is written
+    from the array as runs of one zero-cell string between its marked cells:
+    the nonzero ones (-0.0 included), through ``float.__repr__`` as the C
+    encoder's, and the beta cells, as ``"beta"``.  Any other array (a smaller
+    one, another dtype, more dimensions, a NaN or infinite cell, or mostly
+    nonzero cells, which the C encoder writes faster) is laid out from its
+    list form.
     """
     out: list[str] = []
     _emit(payload, "\n", out)
     out.append("\n")
     return "".join(out)
 
+
+#: Fewest cells an array must have to be written as runs: below about 128
+#: cells the run layout's fixed numpy cost exceeds the list form's.
+_RUN_CELLS = 128
 
 #: Cell types the C encoder writes exactly as the indenting encoder does:
 #: both use ``float.__repr__`` (and NaN/Infinity) for floats.
@@ -204,7 +316,7 @@ def _emit(obj: Any, newline: str, out: list[str]) -> None:
     at the depth whose line break plus indent is ``newline``."""
     inner = newline + "  "
     if isinstance(obj, (np.ndarray, BidMatrix)):
-        if not _emit_runs(obj, newline, out):
+        if getattr(obj, "amounts", obj).size < _RUN_CELLS or not _emit_runs(obj, newline, out):
             _emit(_plain(obj), newline, out)
     elif isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) <= _PLAIN:

@@ -527,13 +527,15 @@ class TestNumberMatrix:
         assert files._number_matrix(padded, beta_allowed=False) is None
 
     @pytest.mark.parametrize(
-        "cell", ["0.0625", "0.0e0", "0.00", "0.01", "00.0", "0e0", "0", "-0.0", "-0e5", "1E5", "2.5e-3", "1e+2", "7", "5e-324"]
+        "cell",
+        ["0.0625", "0.0e0", "0.00", "0.01", "00.0", "0e0", "0", "-0.0", "-0e5", "1E5", "2.5e-3", "1e+2", "7", "5e-324"],
     )
     def test_cells_near_zero_take_their_json_value(self, tmp_path, cell):
         text = f"[[{cell}, " + ", ".join(["0.0"] * 15) + "]]"
         path = tmp_path / "cells.json"
         path.write_text(text)
-        assert _outcome(lambda: files.load_allocation(path)) == _outcome(lambda: files._allocation_from_json(path, text))
+        expected = _outcome(lambda: files._allocation_from_json(path, text))
+        assert _outcome(lambda: files.load_allocation(path)) == expected
 
     def test_dense_matrices_take_the_json_route(self):
         # More than one cell in 8 other than 0.0: json converts them faster.

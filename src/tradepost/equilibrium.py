@@ -90,27 +90,7 @@ def verify_tp_ne(
     ``tol`` must be finite and > 0.
     """
     require_positive(tol=tol)
-    x = atp_allocate(inst, f, bids)
-    i, j, expected, gap = _worst_share(inst, x, bids.amounts.sum(axis=0) > 0)
-    costs = f.cost_rows(bids.amounts)
-    gaps = np.abs(costs - 1.0)
-    k = int(np.argmax(gaps))
-    if gap > tol:
-        report = NeReport(
-            False,
-            violated_condition=(
-                f"condition 1: agent {i} holds {float(x.x[i, j])!r} of good {j}, "
-                f"expected {expected!r} (gap {gap:.3e})"
-            ),
-        )
-    elif gaps[k] > tol:
-        report = NeReport(
-            False,
-            violated_condition=f"condition 2: agent {k} bid cost {float(costs[k])!r} != 1",
-        )
-    else:
-        report = NeReport(True)
-
+    report = _ne_conditions(inst, f, bids, atp_allocate(inst, f, bids), tol)
     if deviation_check:
         gain, witness = deviation_sweep(inst, f, bids, rng=rng)
         found = gain > tol * max(1.0, float(inst.supply_array.max()))
@@ -123,6 +103,28 @@ def verify_tp_ne(
             report = NeReport(False, report.violated_condition, witness)
 
     return report
+
+
+def _ne_conditions(inst: Instance, f: CurveFamily, bids: BidMatrix, x: Allocation, tol: float) -> NeReport:
+    """``verify_tp_ne``'s two conditions, judged on ``x``, the allocation of ``bids`` under ``f``."""
+    i, j, expected, gap = _worst_share(inst, x, bids.amounts.sum(axis=0) > 0)
+    if gap > tol:
+        return NeReport(
+            False,
+            violated_condition=(
+                f"condition 1: agent {i} holds {float(x.x[i, j])!r} of good {j}, "
+                f"expected {expected!r} (gap {gap:.3e})"
+            ),
+        )
+    costs = f.cost_rows(bids.amounts)
+    gaps = np.abs(costs - 1.0)
+    k = int(np.argmax(gaps))
+    if gaps[k] > tol:
+        return NeReport(
+            False,
+            violated_condition=f"condition 2: agent {k} bid cost {float(costs[k])!r} != 1",
+        )
+    return NeReport(True)
 
 
 def _worst_share(inst: Instance, x: Allocation, priced: np.ndarray) -> tuple[int, int, float, float]:
@@ -337,35 +339,28 @@ def construct_atp_rho_equilibrium(
 ) -> tuple[BidMatrix, Allocation]:
     """Build an equilibrium of the unit-curve game whose outcome is welfare-optimal.
 
-    Pipeline: solve the welfare program, read its multipliers as power price
-    curves q_j * t^(1-rho), convert to a bid profile, then rescale bids so the
-    constraint curves become the instance-independent unit family t^(1-rho).
-    Zero-priced goods skip the rescaling (their curve already is the unit
-    curve).
+    The welfare program's multipliers q_j give the bids in closed form: agent
+    i bids x_ij * q_j^(1/(1-rho)) on each priced good, and claims each desired
+    free good (q_j = 0) with beta.  ``pce_to_tp`` checks the solver's priced
+    allocation first; the bids are then checked once under the unit curves
+    t^(1-rho), on the one allocation that also gives the welfare check.
     """
     if not rho.is_finite:
         raise ValueError("equilibrium construction requires a finite rho < 1")
     result = solve if solve is not None else solve_ces(inst, rho)
-    one_minus = 1.0 - rho.value
     q = np.where(result.q > TOL_DUAL, result.q, 0.0)
-
-    g = CurveFamily._from_arrays(q, np.full(inst.m, one_minus))
-    h = PowerCurve(1.0, one_minus)
-    f, b = pce_to_tp(inst, g, result.x_star, h, tol=tol)
-
-    a = np.where(q > 0, 1.0 / np.where(q > 0, q, 1.0), 1.0)
-    f_scaled = scale_curves(f, a)
-    b_unit = transform_bids(b, a, f.degrees)
-
     unit = CurveFamily.atp(rho.value, inst.m)
-    if not np.allclose(f_scaled.coeffs, unit.coeffs, rtol=1e-9, atol=1e-12):
-        raise RuntimeError("internal error: rescaled curves are not the unit family")
-
-    report = verify_tp_ne(inst, unit, b_unit, tol=tol)
-    if not report.is_ne:
-        raise NotAnEquilibrium(f"constructed bids failed verification: {report.violated_condition}")
+    # Price curves q_j * t^(1-rho); free goods keep the unit curve.
+    g = CurveFamily._from_arrays(q, unit.degrees)
+    _, b = pce_to_tp(inst, g, result.x_star, unit[0], tol=tol)
+    # The unit curves are these curves scaled by 1/q_j; bids scaled to match keep every cost and share.
+    a = np.where(q > 0, 1.0 / np.where(q > 0, q, 1.0), 1.0)
+    b_unit = transform_bids(b, a, unit.degrees)
 
     x = atp_allocate(inst, unit, b_unit)
+    report = _ne_conditions(inst, unit, b_unit, x, tol)
+    if not report.is_ne:
+        raise NotAnEquilibrium(f"constructed bids failed verification: {report.violated_condition}")
     welfare = ces_welfare(rho, utilities(inst, x))
     gap = abs(welfare - result.objective) / max(1.0, abs(result.objective))
     if gap > tol:

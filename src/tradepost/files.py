@@ -22,7 +22,7 @@ class ParseError(ValueError):
 def _read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 

@@ -489,9 +489,9 @@ def atp_allocate(
         raise ValueError(f"bid matrix shape ({bids.n}, {bids.m}) != ({inst.n}, {inst.m})")
     if check_budgets:
         costs = f.cost_rows(bids.amounts)
-        for i in range(inst.n):
-            if costs[i] > 1.0 + tol_feas:
-                raise InfeasibleBid(i, float(costs[i]))
+        over = np.flatnonzero(costs > 1.0 + tol_feas)
+        if over.size:
+            raise InfeasibleBid(int(over[0]), float(costs[over[0]]))
 
     x, _ = _run_allocation_rule(inst, bids.amounts, bids.beta, tol_feas)
     return Allocation.checked(inst, x, tol=tol_feas)

@@ -224,6 +224,13 @@ class TestVerifyCommand:
         assert main(argv) == EXIT_PARSE
         assert "curves[0]:" in capsys.readouterr().err
 
+    def test_non_utf8_bids_file_is_named(self, shared_good_path, tmp_path, capsys):
+        bids = tmp_path / "bids.json"
+        bids.write_bytes(b"[[\xff]]")
+        argv = ["verify", "--curves", "linear", "--bids", str(bids), shared_good_path]
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: {bids}: 'utf-8' codec can't decode byte 0xff")
+
     def test_needs_exactly_one_input(self, shared_good_path):
         assert main(["verify", "--curves", "linear", shared_good_path]) == EXIT_PARSE
 

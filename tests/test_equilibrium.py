@@ -29,6 +29,8 @@ from tradepost import (
     verify_pce,
     verify_tp_ne,
 )
+from tradepost.equilibrium import TOL_EQ
+from tradepost.solver import TOL_DUAL
 
 COMMON = dict(deadline=None, derandomize=True)
 
@@ -353,6 +355,70 @@ class TestConstruct:
         inst = random_instance(rng, n_max=5, m_max=5)
         b, x = construct_atp_rho_equilibrium(inst, Rho.finite(rv))
         assert np.all(utilities(inst, x) > 0)
+
+
+def _proof_pipeline(inst, rho, result, tol=TOL_EQ):
+    """The construction step by step, from public functions, as the proof goes.
+
+    The multipliers become price curves q_j * t^(1-rho); ``pce_to_tp`` reduces
+    them to bids; curves and bids are rescaled to the unit family; the profile
+    is verified, then allocated again for the welfare check.
+    """
+    q = np.where(result.q > TOL_DUAL, result.q, 0.0)
+    degree = 1.0 - rho.value
+    g = CurveFamily([PowerCurve(float(c), degree) for c in q])
+    f, b = pce_to_tp(inst, g, result.x_star, PowerCurve(1.0, degree), tol=tol)
+    a = np.where(q > 0, 1.0 / np.where(q > 0, q, 1.0), 1.0)
+    unit = CurveFamily.atp(rho.value, inst.m)
+    assert np.allclose(scale_curves(f, a).coeffs, unit.coeffs, rtol=1e-9, atol=1e-12)
+    b_unit = transform_bids(b, a, f.degrees)
+    report = verify_tp_ne(inst, unit, b_unit, tol=tol)
+    if not report.is_ne:
+        raise NotAnEquilibrium(f"constructed bids failed verification: {report.violated_condition}")
+    x = atp_allocate(inst, unit, b_unit)
+    gap = abs(ces_welfare(rho, utilities(inst, x)) - result.objective) / max(1.0, abs(result.objective))
+    if gap > tol:
+        raise NotAnEquilibrium(f"constructed equilibrium welfare off by {gap:.3e}")
+    return b_unit, x
+
+
+def _construction_outcome(build, inst, rho, result):
+    """The bytes of the bids and allocation ``build`` returns, or its exception's type and text."""
+    try:
+        b, x = build(inst, rho, result)
+    except NotAnEquilibrium as exc:
+        return "NotAnEquilibrium", str(exc)
+    return "ok", b.amounts.tobytes(), b.beta.tobytes(), x.x.tobytes()
+
+
+def _closed_form(inst, rho, result):
+    return construct_atp_rho_equilibrium(inst, rho, solve=result)
+
+
+class TestConstructionMatchesProofPipeline:
+    """The closed-form construction gives the proof pipeline's bits, and its failure texts."""
+
+    @pytest.mark.parametrize("rv", [-2.0, 0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("n, m", [(12, 5), (40, 12), (200, 50)])
+    def test_same_bids_and_allocation(self, n, m, rv):
+        rho = Rho.finite(rv)
+        instances = [sparse_instance(np.random.default_rng([n, m, k]), n, m) for k in range(3)]
+        instances.append(random_instance(np.random.default_rng([n, m]), n_max=n // 4, m_max=m))
+        for inst in instances:
+            result = solve_ces(inst, rho)
+            expected = _construction_outcome(_proof_pipeline, inst, rho, result)
+            assert expected[0] == "ok"
+            assert _construction_outcome(_closed_form, inst, rho, result) == expected
+
+    @pytest.mark.parametrize("k", [2, 10])
+    def test_same_failure_text(self, k):
+        # At rho = 0.99 the bids x_ij * q_j^100 leave float range, and condition 1 fails.
+        inst = sparse_instance(np.random.default_rng([5, k]), 20, 8)
+        rho = Rho.finite(0.99)
+        result = solve_ces(inst, rho)
+        expected = _construction_outcome(_proof_pipeline, inst, rho, result)
+        assert expected[0] == "NotAnEquilibrium" and "condition 1:" in expected[1]
+        assert _construction_outcome(_closed_form, inst, rho, result) == expected
 
 
 class TestWideSupplies:

@@ -628,3 +628,14 @@ class TestLoadCurves:
             return
         assert got.coeffs.tobytes() == expected.coeffs.tobytes()
         assert got.degrees.tobytes() == expected.degrees.tobytes()
+
+
+@pytest.mark.parametrize(
+    "load", [files.load_instance, files.load_bids, files.load_allocation, files.load_curves]
+)
+def test_non_utf8_file_is_named(tmp_path, load):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"[[0.5, 1.0], [\xff]]")
+    with pytest.raises(files.ParseError) as got:
+        load(path)
+    assert str(got.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff in position 14")

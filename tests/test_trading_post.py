@@ -325,6 +325,12 @@ class TestAllocate:
         with pytest.raises(InfeasibleBid) as err:
             atp_allocate(inst, CurveFamily.linear(1), b)
         assert err.value.agent == 0
+        # The first over-budget agent is named, with its own cost, whatever follows it.
+        inst = Instance([1.0], [{0}] * 4)
+        b = BidMatrix.from_lists([[0.5], [1.25], [1.0], [2.0]])
+        with pytest.raises(InfeasibleBid) as err:
+            atp_allocate(inst, CurveFamily.linear(1), b)
+        assert (err.value.agent, err.value.cost) == (1, 1.25)
 
     @settings(max_examples=200, **COMMON)
     @given(st.data())

@@ -29,6 +29,7 @@ from .trading_post import (
     _local_utility,
     _require_goods,
     _row_arrays,
+    _row_costs,
     atp_allocate,
     best_response,
 )
@@ -116,7 +117,7 @@ def _ne_conditions(inst: Instance, f: CurveFamily, bids: BidMatrix, x: Allocatio
                 f"expected {expected!r} (gap {gap:.3e})"
             ),
         )
-    costs = f.cost_rows(bids.amounts)
+    costs = _row_costs(f, bids)
     gaps = np.abs(costs - 1.0)
     k = int(np.argmax(gaps))
     if gaps[k] > tol:

@@ -157,19 +157,34 @@ def _cholesky(M: np.ndarray) -> np.ndarray | None:
         return None
 
 
+def _lower_inverse(T: np.ndarray) -> np.ndarray:
+    """The inverse of a lower-triangular block, from the inverses of its two diagonal halves.
+
+    With T = [[A, 0], [C, D]], the inverse is [[A^-1, 0], [-D^-1 C A^-1, D^-1]].
+    """
+    h = len(T) // 2
+    A_inv, D_inv = np.linalg.inv(T[:h, :h]), np.linalg.inv(T[h:, h:])
+    out = np.zeros_like(T)
+    out[:h, :h] = A_inv
+    out[h:, h:] = D_inv
+    out[h:, :h] = -D_inv @ (T[h:, :h] @ A_inv)
+    return out
+
+
 def _cho_solver(L: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Solve L L^T d = rhs by block forward and back substitution.
 
     numpy has no triangular solve.  With m <= ``_BLOCK`` a solve is exactly
     the two solves on L and L^T.  With more rows each diagonal block of at
-    most ``_BLOCK`` rows is inverted once per factor, so that each
-    right-hand side costs one small matvec per diagonal block and one per
-    block row.
+    most ``_BLOCK`` rows is inverted once per factor (by ``_lower_inverse``:
+    two half-size inverses cost less than one ``np.linalg.inv`` of the
+    block), so that each right-hand side costs one small matvec per diagonal
+    block and one per block row.
     """
     if len(L) <= _BLOCK:
         return lambda rhs: np.linalg.solve(L.T, np.linalg.solve(L, rhs))
     starts = range(0, len(L), _BLOCK)
-    inverse = {k: np.linalg.inv(L[k : k + _BLOCK, k : k + _BLOCK]) for k in starts}
+    inverse = {k: _lower_inverse(L[k : k + _BLOCK, k : k + _BLOCK]) for k in starts}
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         y = np.empty_like(rhs)

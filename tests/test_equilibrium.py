@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,10 @@ from tradepost import (
     verify_pce,
     verify_tp_ne,
 )
+from tradepost import trading_post
 from tradepost.equilibrium import TOL_EQ
 from tradepost.solver import TOL_DUAL
+from tradepost.trading_post import _row_costs
 
 COMMON = dict(deadline=None, derandomize=True)
 
@@ -515,6 +518,55 @@ class TestSweepRegression:
         assert (gain, witness.agent) == (expected["gain"], expected["agent"])
         cells = zip(witness.amounts.tolist(), witness.beta.tolist())
         assert ["beta" if is_beta else amount for amount, is_beta in cells] == expected["bids"]
+
+    def test_few_cost_evaluations_per_target(self, game, monkeypatch):
+        """The bisection is replayed from its estimated root: a silent fall back to the full loop fails here."""
+        inst, f, profiles = game
+        counts = Counter()
+        for name in ("_affordable", "_max_target"):
+            inner = getattr(trading_post, name)
+
+            def counted(*args, _inner=inner, _name=name):
+                counts[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(trading_post, name, counted)
+        for bids in profiles.values():
+            deviation_sweep(inst, f, bids)
+        assert counts["_max_target"] >= 2 * inst.n
+        assert counts["_affordable"] <= 8 * counts["_max_target"], counts
+
+    @pytest.mark.parametrize("how", ["overwrite", "replace_row"])
+    def test_sweep_after_a_row_changes(self, game, how):
+        """A sweep after a row changes equals one on a fresh matrix: no row cost outlives its row."""
+        inst, f, profiles = game
+        eq = profiles["equilibrium"]
+        k = 3
+        over = eq.amounts.copy()
+        over[k] *= 1.5
+        bids = BidMatrix(over, eq.beta)
+        assert _row_costs(f, bids)[k] > 1.0  # cached while row k is over budget
+        row = (eq.amounts[k].copy(), eq.beta[k].copy())
+        if how == "overwrite":
+            bids._overwrite_row(k, *row)
+        else:
+            bids = bids.replace_row(k, *row)
+        gain, witness = deviation_sweep(inst, f, bids)
+        fresh_gain, fresh_witness = deviation_sweep(inst, f, BidMatrix(bids.amounts, bids.beta))
+        assert (gain, witness.agent) == (fresh_gain, fresh_witness.agent)
+        assert np.array_equal(witness.amounts, fresh_witness.amounts)
+        assert np.array_equal(witness.beta, fresh_witness.beta)
+
+    def test_row_costs_equal_one_row_costs(self, game):
+        inst, f, profiles = game
+        constructed = []
+        for k, rho in enumerate((-2.0, 0.0, 0.5)):
+            small = sparse_instance(np.random.default_rng([925, k]), 40, 12)
+            bids, _ = construct_atp_rho_equilibrium(small, Rho.finite(rho))
+            constructed.append((CurveFamily.atp(rho, small.m), bids))
+        for family, bids in [(f, profiles["equilibrium"]), *constructed]:
+            rows = [family.cost_rows(bids.amounts[i : i + 1])[0] for i in range(bids.n)]
+            assert np.array_equal(_row_costs(family, bids), rows)
 
     def test_best_response_values_match_record(self, game):
         inst, f, profiles = game

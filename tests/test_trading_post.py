@@ -20,13 +20,16 @@ from tradepost import (
     best_response,
     utilities,
 )
+from tradepost import trading_post
 from tradepost.equilibrium import _random_row
 from tradepost.trading_post import (
     _MIN_POSITIVE,
     _column_totals,
     _incumbent_utility,
     _local_utility,
+    _guard_band,
     _max_target,
+    _row_costs,
     _run_allocation_rule,
 )
 
@@ -463,12 +466,18 @@ class TestBestResponse:
 
 
 def _plain_bisection(paid_terms, fixed, hi, tol_t):
-    """The bisection as it was before it could end on a bracket too narrow to split: the oracle."""
+    """The bisection as it was before it could end on a bracket too narrow to split: the oracle.
+
+    A cost beyond float range is beyond the budget, as in ``_affordable``.
+    """
     lo, t_hi, t = 0.0, hi, hi
     while True:
         total = 0.0
-        for B_j, s_j, coeff, degree in paid_terms:
-            total += coeff * (t * B_j / (s_j - t)) ** degree
+        try:
+            for B_j, s_j, coeff, degree in paid_terms:
+                total += coeff * (t * B_j / (s_j - t)) ** degree
+        except OverflowError:
+            total = math.inf
         if total + fixed <= 1.0:
             lo = t
         else:
@@ -521,6 +530,111 @@ class TestMaxTarget:
             terms = list(zip(B.tolist(), s.tolist(), rng.uniform(0.2, 2.0, k).tolist(), degrees.tolist()))
             tol_t = ulps * math.ulp(hi)
             assert _max_target(terms, fixed, hi, tol_t) == _plain_bisection(terms, fixed, hi, tol_t)
+
+
+    #: Degrees 1 - rho of unit curves across rho in (-inf, 1), and None for free degrees in [0.01, 5].
+    RHOS = [-50.0, -10.0, -2.0, 0.0, 0.5, 0.99, 0.999, None]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", range(len(RHOS)))
+    def test_whole_domain(self, k, r):
+        """Supplies 1e-4..1e4, opponent totals 1e-12..1e6, coefficients 1e-6..1e6, fixed costs up to 0.999."""
+        rho = self.RHOS[r]
+        rng = np.random.default_rng([917, k, r])
+        seen = Counter()
+        for case in range(150):
+            s = 10 ** rng.uniform(-4, 4, k)
+            B = 10 ** rng.uniform(-12, 6, k)
+            coeffs = 10 ** rng.uniform(-6, 6, k) if case % 2 else np.ones(k)
+            degrees = np.full(k, 1.0 - rho) if rho is not None else 10 ** rng.uniform(-2, math.log10(5), k)
+            fixed = (0.0, 1e-100, float(rng.uniform(0.0, 0.999)))[case % 3]
+            cap = float(s.min()) * (1.0 if case % 4 else float(rng.uniform(0.01, 1.0)))  # hi below the cap
+            hi = cap * (1.0 - 1e-12)
+            tol_t = 1e-8 * max(1.0, cap)
+            terms = list(zip(B.tolist(), s.tolist(), coeffs.tolist(), degrees.tolist()))
+            expected = _plain_bisection(terms, fixed, hi, tol_t)
+            assert _max_target(terms, fixed, hi, tol_t) == expected
+            if expected == hi:
+                seen["hi affordable"] += 1
+            else:
+                seen["banded" if _guard_band(terms, fixed, hi) != (0.0, hi) else "no band"] += 1
+        # Near rho = 1 the root often lies below the float range, where no band can be had.
+        assert seen["banded"] + seen["no band"] >= 100 and seen["banded"] >= (3 if rho == 0.999 else 50), seen
+
+    @pytest.mark.parametrize(
+        "case, fixed, terms",
+        [
+            # A cost reaching 1 exactly leaves no budget: the estimate raises.
+            ("no budget", 1.0, [(1.0, 2.0, 1.0, 3.0), (0.5, 4.0, 1.0, 3.0)]),
+            # Degree 1e-3: good 0's budget bid underflows to 0 and the log cost with it.
+            ("underflow", 0.5, [(1.0, 2.0, 1.0, 1e-3), (0.5, 4.0, 1.0, 1e-3)]),
+        ],
+    )
+    def test_failed_estimate_runs_the_plain_loop(self, case, fixed, terms):
+        hi = 2.0 * (1.0 - 1e-12)
+        assert _guard_band(terms, fixed, hi) == (0.0, hi)
+        assert _max_target(terms, fixed, hi, 1e-8 * hi) == _plain_bisection(terms, fixed, hi, 1e-8 * hi)
+
+    @pytest.mark.parametrize(
+        "wrong", ["raises OverflowError", "nan", "inf", "zero", "hi", "x(1+1e-6)", "x(1-1e-6)", "x3", "x1e-3"]
+    )
+    def test_any_estimate_gives_the_plain_target(self, monkeypatch, wrong):
+        """However wrong the root estimate, the two guard evaluations keep the replay exact."""
+        estimate = trading_post._root_estimate
+
+        def off(paid_terms, fixed, hi):
+            t = estimate(paid_terms, fixed, hi)
+            if wrong == "raises OverflowError":
+                raise OverflowError
+            named = {"nan": math.nan, "inf": math.inf, "zero": 0.0, "hi": hi}
+            if wrong in named:
+                return named[wrong]
+            return t * {"x(1+1e-6)": 1 + 1e-6, "x(1-1e-6)": 1 - 1e-6, "x3": 3.0, "x1e-3": 1e-3}[wrong]
+
+        monkeypatch.setattr(trading_post, "_root_estimate", off)
+        rng = np.random.default_rng([919, len(wrong)])
+        for case in range(100):
+            k = int(rng.integers(1, 5))
+            s = 10 ** rng.uniform(-2, 2, k)
+            B = 10 ** rng.uniform(-3, 3, k)
+            degrees = 10 ** rng.uniform(-2, math.log10(5), k)
+            fixed = float(rng.uniform(0.0, 0.9))
+            hi = float(s.min()) * (1.0 - 1e-12)
+            tol_t = 1e-8 * max(1.0, hi)
+            terms = list(zip(B.tolist(), s.tolist(), np.ones(k).tolist(), degrees.tolist()))
+            assert _max_target(terms, fixed, hi, tol_t) == _plain_bisection(terms, fixed, hi, tol_t)
+
+
+class TestRowCosts:
+    """The matrix's cached row costs equal one-row ``cost_rows`` calls bit for bit, and follow row changes."""
+
+    def test_equal_one_row_costs(self):
+        rng = np.random.default_rng(921)
+        for _ in range(60):
+            n, m = int(rng.integers(1, 40)), int(rng.integers(1, 60))
+            coeffs = rng.uniform(0.01, 3.0, m)
+            degrees = rng.choice([0.001, 0.5, 1.0, 3.0, 51.0, float(rng.uniform(0.01, 5.0))], m)
+            f = CurveFamily._from_arrays(coeffs, degrees)
+            amounts = rng.uniform(0.0, 2.0, (n, m)) * (rng.random((n, m)) < 0.3)
+            bids = BidMatrix(amounts, np.zeros((n, m), dtype=bool))
+            costs = _row_costs(f, bids)
+            assert np.array_equal(costs, [f.cost_rows(bids.amounts[i : i + 1])[0] for i in range(n)])
+            assert _row_costs(f, bids) is costs
+            assert not costs.flags.writeable
+            g = CurveFamily.atp(0.0, m)
+            assert np.array_equal(_row_costs(g, bids), g.cost_rows(bids.amounts))
+
+    def test_follow_overwritten_and_replaced_rows(self):
+        rng = np.random.default_rng(923)
+        inst = sparse_instance(rng, 20, 6)
+        f = CurveFamily.atp(-2.0, inst.m)
+        bids = _profile_with_free_goods(rng, inst, f)
+        _row_costs(f, bids)
+        row = (bids.amounts[4] * 0.5, bids.beta[4].copy())
+        replaced = bids.replace_row(4, *row)
+        bids._overwrite_row(4, *row)
+        for b in (bids, replaced):
+            assert np.array_equal(_row_costs(f, b), f.cost_rows(b.amounts))
 
 
 def test_allocation_is_deterministic():

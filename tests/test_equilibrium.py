@@ -33,7 +33,6 @@ from tradepost import (
 from tradepost import trading_post
 from tradepost.equilibrium import TOL_EQ
 from tradepost.solver import TOL_DUAL
-from tradepost.trading_post import _row_costs
 
 COMMON = dict(deadline=None, derandomize=True)
 
@@ -520,7 +519,7 @@ class TestSweepRegression:
         assert ["beta" if is_beta else amount for amount, is_beta in cells] == expected["bids"]
 
     def test_few_cost_evaluations_per_target(self, game, monkeypatch):
-        """The bisection is replayed from its estimated root: a silent fall back to the full loop fails here."""
+        """The bisection is replayed from its estimated root: a silent fallback to the full loop fails here."""
         inst, f, profiles = game
         counts = Counter()
         for name in ("_affordable", "_max_target"):
@@ -545,7 +544,7 @@ class TestSweepRegression:
         over = eq.amounts.copy()
         over[k] *= 1.5
         bids = BidMatrix(over, eq.beta)
-        assert _row_costs(f, bids)[k] > 1.0  # cached while row k is over budget
+        assert trading_post._row_costs(f, bids)[k] > 1.0  # cached while row k is over budget
         row = (eq.amounts[k].copy(), eq.beta[k].copy())
         if how == "overwrite":
             bids._overwrite_row(k, *row)
@@ -566,7 +565,7 @@ class TestSweepRegression:
             constructed.append((CurveFamily.atp(rho, small.m), bids))
         for family, bids in [(f, profiles["equilibrium"]), *constructed]:
             rows = [family.cost_rows(bids.amounts[i : i + 1])[0] for i in range(bids.n)]
-            assert np.array_equal(_row_costs(family, bids), rows)
+            assert np.array_equal(trading_post._row_costs(family, bids), rows)
 
     def test_best_response_values_match_record(self, game):
         inst, f, profiles = game

@@ -25,9 +25,9 @@ from tradepost.equilibrium import _random_row
 from tradepost.trading_post import (
     _MIN_POSITIVE,
     _column_totals,
+    _guard_band,
     _incumbent_utility,
     _local_utility,
-    _guard_band,
     _max_target,
     _row_costs,
     _run_allocation_rule,
@@ -530,7 +530,6 @@ class TestMaxTarget:
             terms = list(zip(B.tolist(), s.tolist(), rng.uniform(0.2, 2.0, k).tolist(), degrees.tolist()))
             tol_t = ulps * math.ulp(hi)
             assert _max_target(terms, fixed, hi, tol_t) == _plain_bisection(terms, fixed, hi, tol_t)
-
 
     #: Degrees 1 - rho of unit curves across rho in (-inf, 1), and None for free degrees in [0.01, 5].
     RHOS = [-50.0, -10.0, -2.0, 0.0, 0.5, 0.99, 0.999, None]

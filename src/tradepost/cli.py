@@ -249,7 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if instance:
             p.add_argument("instance", help="instance JSON file")
         p.add_argument("-o", "--output", default=None, help="report file (default: stdout)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--tol-eq", type=float, default=TOL_EQ)
         p.add_argument("--tol-kkt", type=float, default=TOL_KKT)
 
@@ -284,6 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", required=True, help="a real < 1")
     p.add_argument("--rounds", type=int, default=50)
     p.add_argument("--move-tol", type=float, default=1e-9)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(p)
     p.set_defaults(func=cmd_dynamics)
 
@@ -292,6 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", default=None, help="for not-strategyproof: -inf excluded, 1 allowed")
     p.add_argument("--n", type=int, default=3, help="for bad-ne")
     p.add_argument("--instance", default=None, help="for m2-truthful / strategyproof-m1")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="for m2-truthful's sampled mode")
     common(p, instance=False)
     p.set_defaults(func=cmd_demos)
 

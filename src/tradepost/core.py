@@ -197,14 +197,14 @@ class Allocation:
         object.__setattr__(self, "x", arr)
 
     @classmethod
-    def checked(cls, inst: Instance, x: np.ndarray, tol: float = TOL_FEAS) -> "Allocation":
+    def checked(cls, inst: Instance, x: np.ndarray) -> "Allocation":
         """Construct and verify the supply constraint against ``inst``."""
         alloc = cls(x)
         if alloc.x.shape != (inst.n, inst.m):
             raise ValueError(f"allocation shape {alloc.x.shape} != ({inst.n}, {inst.m})")
         totals = alloc.x.sum(axis=0)
         over = totals - inst.supply_array
-        if np.any(over > tol):
+        if np.any(over > TOL_FEAS):
             j = int(np.argmax(over))
             raise ValueError(
                 f"good {j} oversubscribed: allocated {float(totals[j])!r} > supply {inst.supplies[j]!r}"

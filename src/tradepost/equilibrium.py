@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -21,14 +19,11 @@ import numpy as np
 from .core import Allocation, Instance, Rho, ces_welfare, require_positive, utilities
 from .solver import TOL_DUAL, SolveResult, solve_ces
 from .trading_post import (
-    TOL_BID,
     BidMatrix,
     CurveFamily,
     PowerCurve,
     _column_totals,
-    _local_utility,
     _require_goods,
-    _row_arrays,
     _row_costs,
     atp_allocate,
     best_response,
@@ -148,7 +143,9 @@ def deviation_sweep(
     """Best utility gain any single agent can realize, and how.
 
     Per agent: the bisection best response, plus ``n_random`` perturbed rows
-    as a guard against oracle blind spots.
+    as a guard against oracle blind spots.  Those rows are scored by the
+    reference rule, ``atp_allocate`` on the whole profile, and not by the
+    oracle's own evaluator, so a fault in that evaluator cannot hide from it.
     """
     base = utilities(inst, atp_allocate(inst, f, bids))
     best_gain = -math.inf
@@ -160,17 +157,11 @@ def deviation_sweep(
             best_gain, witness = gain, DeviationWitness(i, *row, gain)
         if rng is None or n_random <= 0:
             continue
-        # Each desired good's column without row i: the sum above it and the amounts below it.
-        splits = {j: bids._column(j).split(i) for j in inst.desired[i]}
         for _ in range(n_random):
-            amounts, beta = _random_row(inst, f, i, rng)
-            goods = (amounts > TOL_BID).nonzero()[0].tolist()
-            cells = dict(zip(goods, amounts[goods].tolist()))
-            claims = beta.nonzero()[0].tolist()
-            totals = {j: reduce(add, below, above + cells.get(j, 0.0)) for j, (above, below) in splits.items()}
-            gain = _local_utility(inst, bids, i, cells, claims, totals)[0] - base[i]
+            trial = bids.replace_row(i, *_random_row(inst, f, i, rng))
+            gain = utilities(inst, atp_allocate(inst, f, trial, check_budgets=False))[i] - base[i]
             if gain > best_gain:
-                best_gain, witness = gain, DeviationWitness(i, *_row_arrays(inst.m, cells, claims), gain)
+                best_gain, witness = gain, DeviationWitness(i, trial.amounts[i].copy(), trial.beta[i].copy(), gain)
 
     return best_gain, witness
 

@@ -241,15 +241,14 @@ def demo_m2_truthful_ne(
     supplies: Sequence[float],
     true_sets: Sequence[Iterable[int]],
     *,
-    exhaustive: bool | None = None,
     samples: int = 10_000,
     rng: np.random.Generator | None = None,
     tol: float = TOL_EQ,
 ) -> dict:
     """Verify that unanimous truthful reporting is stable under mechanism2.
 
-    Exhaustive mode enumerates every alternative row an agent could submit
-    ((2^m)^n of them); above the small-instance cap a seeded random sample is
+    Every alternative row an agent could submit ((2^m)^n of them) is
+    enumerated when there are at most 4096; above that a seeded random sample is
     used instead, each set drawn by its index in the enumeration order, so m
     may reach 62 goods.  Also confirms the truthful outcome is
     maxmin-optimal.
@@ -269,8 +268,7 @@ def demo_m2_truthful_ne(
         raise RuntimeError(f"truthful outcome is not maxmin-optimal: {welfare} vs {gamma}")
 
     space = (2**m) ** n
-    if exhaustive is None:
-        exhaustive = space <= 4096
+    exhaustive = space <= 4096
     checked = 0
     witness = None
     if exhaustive:

@@ -190,39 +190,12 @@ class BidMatrix:
 
     @classmethod
     def from_lists(cls, data: Sequence[Sequence[float | str]]) -> "BidMatrix":
-        """Parse the JSON form; every malformed cell is reported by position.
-
-        A row of only floats is filled whole after one screen of its cell
-        types, and a row of floats and "beta" tokens after one pass that finds
-        its other cells; all such cells are range-checked in one array pass,
-        and other rows are checked cell by cell.  If anything is bad, every
-        row is checked again cell by cell, so that the error names the first
-        bad cell in row-major order.
-        """
-        if not data:
+        """Parse the JSON form, checked cell by cell in row-major order: the error names the first bad cell."""
+        if not data or not hasattr(data[0], "__len__"):
             raise ValueError("bids must be a nonempty 2-D array")
         m = len(data[0])
         amounts = np.zeros((len(data), m))
         beta = np.zeros((len(data), m), dtype=bool)
-        try:
-            for i, raw in enumerate(data):
-                if not (isinstance(raw, (list, tuple)) and len(raw) == m):
-                    raise ValueError  # a malformed row: the cell-by-cell pass names it
-                if set(map(type, raw)) <= {float}:
-                    amounts[i] = raw
-                    continue
-                other = [j for j, kind in enumerate(map(type, raw)) if kind is not float]
-                if all(type(raw[j]) is str and _is_beta(raw[j]) for j in other):
-                    row = list(raw)
-                    for j in other:
-                        row[j] = 0.0
-                    amounts[i], beta[i, other] = row, True
-                else:
-                    amounts[i], beta[i] = _parse_row(i, raw, m)
-            if ((amounts >= 0) & (amounts <= sys.float_info.max)).all():
-                return cls(amounts, beta)
-        except ValueError:
-            pass
         for i, raw in enumerate(data):
             amounts[i], beta[i] = _parse_row(i, raw, m)
         return cls(amounts, beta)
@@ -402,10 +375,6 @@ def _require_goods(f: CurveFamily, m: int) -> None:
         raise ValueError(f"curve family has {f.m} curves, instance has {m} goods")
 
 
-def _is_beta(token: str) -> bool:
-    return token.strip().lower() == "beta"
-
-
 def _parse_row(i: int, raw: object, m: int) -> tuple[list[float], list[bool]]:
     """Row ``i`` of a JSON bid array, checked cell by cell: (amounts, beta mask)."""
     if not isinstance(raw, (list, tuple)) or len(raw) != m:
@@ -416,7 +385,7 @@ def _parse_row(i: int, raw: object, m: int) -> tuple[list[float], list[bool]]:
             if not 0 <= cell <= sys.float_info.max:
                 raise ValueError(f"bids[{i}][{j}]: bid must be finite and >= 0, got {cell!r}")
         elif isinstance(cell, str):
-            if not _is_beta(cell):
+            if cell.strip().lower() != "beta":
                 raise ValueError(f"bids[{i}][{j}]: unknown token {cell!r}")
             row[j], mask[j] = 0.0, True
         else:
@@ -486,7 +455,6 @@ def atp_allocate(
     f: CurveFamily,
     bids: BidMatrix,
     *,
-    tol_feas: float = TOL_FEAS,
     check_budgets: bool = True,
 ) -> Allocation:
     """Run the three-step allocation rule on a full bid profile.
@@ -503,12 +471,12 @@ def atp_allocate(
         raise ValueError(f"bid matrix shape ({bids.n}, {bids.m}) != ({inst.n}, {inst.m})")
     if check_budgets:
         costs = _row_costs(f, bids)
-        over = np.flatnonzero(costs > 1.0 + tol_feas)
+        over = np.flatnonzero(costs > 1.0 + TOL_FEAS)
         if over.size:
             raise InfeasibleBid(int(over[0]), float(costs[over[0]]))
 
-    x, _ = _run_allocation_rule(inst, bids.amounts, bids.beta, tol_feas)
-    return Allocation.checked(inst, x, tol=tol_feas)
+    x, _ = _run_allocation_rule(inst, bids.amounts, bids.beta, TOL_FEAS)
+    return Allocation.checked(inst, x)
 
 
 def _profile(inst: Instance, bids: BidMatrix) -> tuple[dict[int, float], dict[int, tuple[int, float, float]]]:

@@ -402,6 +402,26 @@ class TestConfigValidation:
         assert main(["demos", "bad-ne", "--n", str(maxmin.MAX_EXHAUSTIVE_GOODS + 1)]) == EXIT_PARSE
         assert "exhaustive search limited" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--rho", "-1"],
+            ["equilibrium", "--rho", "-1"],
+            ["verify", "--curves", "linear", "--bids", GOLDEN_PERTURBED],
+            ["reduce", "--direction", "tp2pc", "--curves", "linear", "--bids", GOLDEN_PERTURBED],
+        ],
+    )
+    def test_seed_rejected_where_nothing_is_random(self, argv, shared_good_path, capsys):
+        assert main(argv + ["--seed", "1", shared_good_path]) == EXIT_PARSE
+        assert "--seed" in capsys.readouterr().err
+
+    def test_seed_taken_by_dynamics_and_demos(self, shared_good_path, tmp_path):
+        out = str(tmp_path / "out.json")
+        assert main(["dynamics", "--rho", "0", "--seed", "1", "--rounds", "1", "-o", out, shared_good_path]) == EXIT_OK
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"supplies": [1.0], "agents": [{"desired": [0]}]}))
+        assert main(["demos", "m2-truthful", "--seed", "1", "--instance", str(inst), "-o", out]) == EXIT_OK
+
     def test_dynamics_rejects_rho_one(self, shared_good_path):
         assert main(["dynamics", "--rho", "1", shared_good_path]) == EXIT_PARSE
 

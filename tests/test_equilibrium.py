@@ -518,6 +518,20 @@ class TestSweepRegression:
         cells = zip(witness.amounts.tolist(), witness.beta.tolist())
         assert ["beta" if is_beta else amount for amount, is_beta in cells] == expected["bids"]
 
+    def test_guard_catches_a_broken_evaluator(self, game, monkeypatch):
+        """The guard scores its rows by the rule itself, so it finds a gain the oracle's own evaluator hides."""
+        inst, f, profiles = game
+        halved = profiles["halved_every_7th"]
+        bids = BidMatrix(halved.amounts, halved.beta)  # no utilities cached by other tests
+        monkeypatch.setattr(trading_post, "_local_utility", lambda *args: (0.0, set()))
+        assert deviation_sweep(inst, f, bids)[0] <= 0.0
+        gain, witness = deviation_sweep(inst, f, bids, rng=np.random.default_rng(15), n_random=20)
+        assert gain > 0.5
+        i = witness.agent
+        after = bids.replace_row(i, witness.amounts, witness.beta)
+        base = utilities(inst, atp_allocate(inst, f, bids))[i]
+        assert utilities(inst, atp_allocate(inst, f, after, check_budgets=False))[i] - base == gain
+
     def test_few_cost_evaluations_per_target(self, game, monkeypatch):
         """The bisection is replayed from its estimated root: a silent fallback to the full loop fails here."""
         inst, f, profiles = game

@@ -116,6 +116,11 @@ class TestBidMatrix:
             with pytest.raises(ValueError, match=re.escape(where + ":")):
                 BidMatrix.from_lists(data)
 
+    @pytest.mark.parametrize("data", [[], [1.0, 2.0], [None]])
+    def test_not_a_matrix(self, data):
+        with pytest.raises(ValueError, match="bids must be a nonempty 2-D array"):
+            BidMatrix.from_lists(data)
+
     def test_replace_row(self):
         b = BidMatrix.from_lists([[0.5], [0.5]])
         b2 = b.replace_row(0, [0.0], [True])
@@ -463,6 +468,39 @@ class TestBestResponse:
         row, value = best_response(inst, f, b, 0)
         assert value == utilities(inst, atp_allocate(inst, f, b.replace_row(0, *row)))[0]
         assert value == pytest.approx(2.0 / 3.0, rel=1e-7)
+
+    @staticmethod
+    def _rule_value(inst, f, b, i):
+        """Agent ``i``'s best response value, checked against the rule's utility of its row and its budget."""
+        row, value = best_response(inst, f, b, i)
+        assert value == utilities(inst, atp_allocate(inst, f, b.replace_row(i, *row)))[i]
+        assert f.cost(row[0]) <= 1.0 + TOL_FEAS
+        return value
+
+    def test_unaffordable_forced_bid_ends_the_search(self):
+        # Both beta claims on good 1 (supply 0.5) break the step-3 band, so a positive bid is forced
+        # there; its least amount, _MIN_POSITIVE, costs 20 * 1e-100**0.01 = 2, over the budget.
+        inst = Instance([1.0, 0.5], [{0, 1}, {0, 1}])
+        f = CurveFamily([PowerCurve(1.0, 1.0), PowerCurve(20.0, 0.01)])
+        b = BidMatrix.from_lists([[0.0, 0.0], [0.5, "beta"]])
+        assert self._rule_value(inst, f, b, 0) == 0.0
+
+    def test_trimmed_beta_claim_is_forced_positive(self):
+        # Both claims on good 1 add up to 1, within the step-3 band above its supply 1 - 1e-7: the
+        # claim is trimmed, not penalized, and falls short of the target 2/3 by more than tol_br.
+        inst = Instance([1.0, 1.0 - 1e-7], [{0, 1}, {0, 1}])
+        f = CurveFamily.linear(2)
+        b = BidMatrix.from_lists([[0.0, 0.0], [0.5, "beta"]])
+        assert self._rule_value(inst, f, b, 0) == pytest.approx(2.0 / 3.0, rel=1e-7)
+
+    def test_dropped_dust_bid_ends_the_search(self):
+        # Opponents bid 2 on good 1, so the target t is about 1/3; the matching bid on good 0,
+        # t * 1.5e-120 / (1 - t), is about 7.5e-121, below TOL_BID, and is dropped: no free good is
+        # left to force, so the search ends and the incumbent row stands, with value 0.  A bid of
+        # 1e-119 on good 0 would reach about 1/3; only the value's agreement with the rule is pinned.
+        inst = Instance([1.0, 1.0], [{0, 1}] * 3)
+        b = BidMatrix.from_lists([[0.0, 0.0], [1.5e-120, 1.0], [0.0, 1.0]])
+        self._rule_value(inst, CurveFamily.linear(2), b, 0)
 
 
 def _plain_bisection(paid_terms, fixed, hi, tol_t):
